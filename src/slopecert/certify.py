@@ -26,6 +26,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
 from .homfly import (
     DEFAULT_ORACLE_BUDGET,
+    OracleBudgetError,
+    SquareSearchError,
     gamma_positive,
     homfly_oracle,
     zeroth_gamma,
@@ -292,7 +294,11 @@ def batch(
     gamma_budget: int = DEFAULT_GAMMA_BUDGET,
     verify_oracle: bool = False,
 ) -> BatchReport:
-    """Certify each slope, collecting per-slope failures instead of raising."""
+    """Certify each slope, collecting per-slope failures instead of raising.
+
+    A failure is a slope outside the working range, a failed internal check,
+    or the direct route's engine giving up on the cable.
+    """
     report = BatchReport()
     for item in slopes:
         if isinstance(item, str):
@@ -310,6 +316,6 @@ def batch(
                 p, q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle
             )
             report.entries.append(BatchEntry(slope=label, certificate=cert))
-        except (ValueError, CertificateError) as exc:
+        except (ValueError, CertificateError, SquareSearchError, OracleBudgetError) as exc:
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
     return report

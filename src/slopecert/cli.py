@@ -7,13 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certify import (
-    DEFAULT_GAMMA_BUDGET,
-    CertificateError,
-    batch,
-    certify_slope,
-    parse_slope,
-)
+from .certify import DEFAULT_GAMMA_BUDGET, batch, parse_slope
 from .homfly import MEMO_CAP_ENV
 
 _EPILOG = (
@@ -57,38 +51,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize(p: int, q: int):
-    """Map a negative slope to its mirror, reporting the reduction."""
-    if p < 0:
-        return -p, q, f"{p}/{q}"
-    return p, q, None
+def _certify_texts(texts, args):
+    """Certify each slope text through ``batch``, mapping a negative slope
+    to its mirror. Returns the report and, per entry, the slope it mirrors
+    (or None)."""
+    items, mirrors = [], []
+    for text in texts:
+        try:
+            p, q = parse_slope(text)
+        except ValueError:
+            items.append(text)  # batch records the parse error
+            mirrors.append(None)
+            continue
+        mirror_of = f"{p}/{q}" if p < 0 else None
+        if mirror_of is not None:
+            print(f"certifying {-p}/{q}, the mirror of {mirror_of}")
+        items.append((abs(p), q))
+        mirrors.append(mirror_of)
+    report = batch(
+        items,
+        s_start=args.s_start,
+        gamma_budget=args.gamma_budget,
+        verify_oracle=args.verify_oracle,
+    )
+    return report, mirrors
+
+
+def _certificate_json(cert, mirror_of) -> str:
+    """The certificate JSON plus the negative slope it was mirrored from.
+
+    ``mirror_of`` stays out of ``Certificate.to_obj``: a certificate is a
+    function of its positive slope alone."""
+    obj = cert.to_obj()
+    obj["mirror_of"] = mirror_of
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_certify(args) -> int:
-    try:
-        p, q = parse_slope(args.slope)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report, (mirror_of,) = _certify_texts([args.slope], args)
+    (entry,) = report.entries
+    if not entry.ok:
+        print(f"error: {entry.error}", file=sys.stderr)
         return 1
-    p, q, mirrored_from = _normalize(p, q)
-    if mirrored_from is not None:
-        print(f"certifying {p}/{q}, the mirror of {mirrored_from}")
-    try:
-        cert = certify_slope(
-            p,
-            q,
-            s_start=args.s_start,
-            gamma_budget=args.gamma_budget,
-            verify_oracle=args.verify_oracle,
-        )
-    except (ValueError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(cert.summary())
+    print(entry.certificate.summary())
     if args.json:
-        obj = cert.to_obj()
-        obj["mirror_of"] = mirrored_from
-        payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        payload = _certificate_json(entry.certificate, mirror_of)
         if args.json == "-":
             sys.stdout.write(payload)
         else:
@@ -109,29 +116,17 @@ def _cmd_batch(args) -> int:
         line = line.split("#", 1)[0].strip()
         if line:
             slopes.append(line)
-    normalized = []
-    for text in slopes:
-        try:
-            p, q = parse_slope(text)
-            p, q, mirrored = _normalize(p, q)
-            normalized.append((f"{p}/{q}" if mirrored is None else text, (p, q)))
-        except ValueError:
-            normalized.append((text, None))
-    report = batch(
-        [text if pq is None else pq for text, pq in normalized],
-        s_start=args.s_start,
-        gamma_budget=args.gamma_budget,
-        verify_oracle=args.verify_oracle,
-    )
+    report, mirrors = _certify_texts(slopes, args)
     for line in report.summary_lines():
         print(line)
     if args.json_dir:
         out = Path(args.json_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for entry in report.entries:
+        for entry, mirror_of in zip(report.entries, mirrors):
             if entry.ok:
                 p, q = entry.certificate.slope
-                (out / f"certificate_{p}_{q}.json").write_text(entry.certificate.to_json())
+                name = f"certificate_{p}_{q}{'' if mirror_of is None else '_mirror'}.json"
+                (out / name).write_text(_certificate_json(entry.certificate, mirror_of))
     return 0 if report.all_ok else 1
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic for the three polynomial rings behind the certificates.
 
-All rings are dict-backed and sparse, with Python integers as coefficients,
-so no precision is ever lost:
+All rings are dict-backed and sparse, with Python integers at the bottom of
+every coefficient, so no precision is ever lost:
 
 - ``LaurentPoly``: the ring Z[a^{+-1}] of one-variable Laurent polynomials.
   Zeroth-coefficient skein invariants live here, and "is this a unit" is
@@ -12,69 +12,171 @@ so no precision is ever lost:
   ``LaurentPoly`` coefficients. H and C stand in for two knot polynomials
   that the symbolic computation deliberately never evaluates.
 
+The three share one sparse core, ``_Sparse``; each ring only names its unit
+key, how keys add when monomials multiply, and which scalars it coerces.
 Values are immutable after construction; every operation is a pure function
 returning a new value, so results can be shared freely between tasks.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, TypeVar, Union
+
+_R = TypeVar("_R", bound="_Sparse")
 
 
-def _gather(items) -> dict:
-    """Accumulate (key, coeff) pairs into a dict, dropping zero totals."""
-    out: dict = {}
+def _gather(items, out: Optional[dict] = None) -> dict:
+    """Accumulate (key, coeff) pairs into ``out`` (a new dict by default),
+    dropping zero totals."""
+    if out is None:
+        out = {}
     for k, c in items:
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
     return out
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial sum_e c_e * a^e with integer coefficients.
+def _add_pairs(k1: tuple, k2: tuple) -> tuple:
+    return (k1[0] + k2[0], k1[1] + k2[1])
 
-    Stored as a mapping from exponent to nonzero coefficient. Instances are
-    immutable and hashable; arithmetic returns new objects.
+
+class _Sparse:
+    """Sparse polynomial: a mapping from monomial keys to nonzero coefficients.
+
+    A ring declares ``_UNIT`` (the key of the monomial 1), ``_add_keys``
+    (the key of a product of two monomials) and ``_SCALARS`` (the types
+    coerced to constant polynomials). Instances are immutable and hashable;
+    arithmetic returns new objects.
     """
 
     __slots__ = ("_terms", "_hash")
+    _UNIT: object
+    _SCALARS: tuple
+    _add_keys: Callable
 
-    def __init__(self, terms: Optional[Mapping[int, int]] = None):
+    def __init__(self, terms=None):
         if terms is None:
             self._terms = {}
-        elif isinstance(terms, Mapping):
-            self._terms = _gather(terms.items())
         else:
-            self._terms = _gather(terms)
+            self._terms = _gather(terms.items() if isinstance(terms, Mapping) else terms)
         self._hash = None
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def _wrap(cls: type[_R], terms: dict) -> _R:
+        """Adopt an already gathered dict without copying or checking it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
+    def zero(cls: type[_R]) -> _R:
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def one(cls: type[_R]) -> _R:
+        return cls({cls._UNIT: 1})
+
+    @classmethod
+    def _coerce(cls: type[_R], x) -> _R:
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, cls._SCALARS):
+            return cls({cls._UNIT: x})
+        raise TypeError(f"cannot treat {type(x).__name__} as a {cls.__name__}")
+
+    def items(self):
+        """Terms as (key, coefficient) pairs in ascending key order."""
+        return sorted(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __neg__(self: _R) -> _R:
+        return self._wrap({k: -c for k, c in self._terms.items()})
+
+    def __add__(self: _R, other) -> _R:
+        other = self._coerce(other)
+        return self._wrap(_gather(other._terms.items(), dict(self._terms)))
+
+    __radd__ = __add__
+
+    def __sub__(self: _R, other) -> _R:
+        return self + (-self._coerce(other))
+
+    def __rsub__(self: _R, other) -> _R:
+        return self._coerce(other) + (-self)
+
+    def __mul__(self: _R, other) -> _R:
+        other = self._coerce(other)
+        add_keys = self._add_keys
+        # Accumulated in place: feeding _gather a generator of the term
+        # products doubles the cost of the small products that dominate.
+        prod: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = add_keys(k1, k2)
+                c = c1 * c2
+                if k in prod:
+                    c = prod[k] + c
+                if c:
+                    prod[k] = c
+                else:
+                    prod.pop(k, None)
+        return self._wrap(prod)
+
+    def __pow__(self: _R, n: int) -> _R:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, self._SCALARS):
+            other = self._coerce(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(tuple(self.items()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class LaurentPoly(_Sparse):
+    """Sparse Laurent polynomial sum_e c_e * a^e with integer coefficients,
+    keyed by the exponent e."""
+
+    __slots__ = ()
+    _UNIT = 0
+    _SCALARS = (int,)
+    _add_keys = operator.add
+    # bound on each ring, not inherited, so a profiler that patches the
+    # class's own __mul__ sees this ring's products only
+    __mul__ = __rmul__ = _Sparse.__mul__
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
         return cls({exp: coeff})
-
-    @classmethod
-    def _coerce(cls, x) -> "LaurentPoly":
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, int):
-            return cls({0: x})
-        raise TypeError(f"cannot treat {type(x).__name__} as a LaurentPoly")
-
-    def items(self):
-        """Terms as (exponent, coefficient) pairs in ascending exponent."""
-        return sorted(self._terms.items())
 
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
@@ -93,12 +195,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def is_unit(self) -> bool:
         """True iff the value is +-a^k, the only invertible elements here."""
         if len(self._terms) != 1:
@@ -115,63 +211,6 @@ class LaurentPoly:
         for e, c in self._terms.items():
             total += c * x**e
         return total
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            s = merged.get(e, 0) + c
-            if s:
-                merged[e] = s
-            elif e in merged:
-                del merged[e]
-        out = LaurentPoly()
-        out._terms = merged
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        prod: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = prod.get(e, 0) + c1 * c2
-                if s:
-                    prod[e] = s
-                elif e in prod:
-                    del prod[e]
-        out = LaurentPoly()
-        out._terms = prod
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by a^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide by ``other`` in Z[a^{+-1}], raising if not exact."""
@@ -207,26 +246,11 @@ class LaurentPoly:
             raise ValueError("not divisible: nonzero remainder")
         return LaurentPoly({i + av - bv: c for i, c in enumerate(Q) if c})
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(self.items()))
-        return self._hash
-
     # Text form: terms "coeff*a^exp" in ascending exponent, joined by " + ".
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         return " + ".join(f"{c}*a^{e}" for e, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self.items())!r})"
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -243,7 +267,7 @@ class LaurentPoly:
             if not sep:
                 raise ValueError(f"malformed Laurent term: {chunk!r}")
             pairs.append((int(exp_s), int(coeff_s)))
-        return cls(_gather(pairs))
+        return cls(pairs)
 
     def to_pairs(self):
         """JSON form: [exponent, coefficient] pairs, ascending exponent."""
@@ -251,11 +275,10 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls(_gather((int(e), int(c)) for e, c in pairs))
+        return cls((int(e), int(c)) for e, c in pairs)
 
 
 ALPHA = LaurentPoly({1: 1})
-ONE = LaurentPoly({0: 1})
 ONE_PLUS_INV_ALPHA = LaurentPoly({0: 1, -1: 1})
 
 
@@ -264,229 +287,67 @@ def neg_alpha_pow(k: int) -> LaurentPoly:
     return LaurentPoly({k: -1 if k % 2 else 1})
 
 
-class BiLaurent:
-    """Sparse integer Laurent polynomial in two variables v and z."""
+class BiLaurent(_Sparse):
+    """Sparse integer Laurent polynomial in two variables v and z, keyed by
+    the exponent pair (v_exp, z_exp)."""
 
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Optional[Mapping[tuple, int]] = None):
-        if terms is None:
-            self._terms = {}
-        elif isinstance(terms, Mapping):
-            self._terms = _gather(terms.items())
-        else:
-            self._terms = _gather(terms)
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "BiLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiLaurent":
-        return cls({(0, 0): 1})
+    __slots__ = ()
+    _UNIT = (0, 0)
+    _SCALARS = (int,)
+    _add_keys = staticmethod(_add_pairs)
+    __mul__ = __rmul__ = _Sparse.__mul__
 
     @classmethod
     def monomial(cls, coeff: int, v_exp: int, z_exp: int) -> "BiLaurent":
         return cls({(v_exp, z_exp): coeff})
 
-    def items(self):
-        return sorted(self._terms.items())
-
     def coeff(self, v_exp: int, z_exp: int) -> int:
         return self._terms.get((v_exp, z_exp), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __neg__(self) -> "BiLaurent":
-        return BiLaurent({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other: "BiLaurent") -> "BiLaurent":
-        merged = dict(self._terms)
-        for k, c in other._terms.items():
-            s = merged.get(k, 0) + c
-            if s:
-                merged[k] = s
-            elif k in merged:
-                del merged[k]
-        out = BiLaurent()
-        out._terms = merged
-        return out
-
-    def __sub__(self, other: "BiLaurent") -> "BiLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "BiLaurent") -> "BiLaurent":
-        prod: dict = {}
-        for (v1, z1), c1 in self._terms.items():
-            for (v2, z2), c2 in other._terms.items():
-                k = (v1 + v2, z1 + z2)
-                s = prod.get(k, 0) + c1 * c2
-                if s:
-                    prod[k] = s
-                elif k in prod:
-                    del prod[k]
-        out = BiLaurent()
-        out._terms = prod
-        return out
-
-    def __pow__(self, n: int) -> "BiLaurent":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = BiLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def times_monomial(self, v_exp: int, z_exp: int, coeff: int = 1) -> "BiLaurent":
         return BiLaurent(
             {(v + v_exp, z + z_exp): c * coeff for (v, z), c in self._terms.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(self.items()))
-        return self._hash
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         return " + ".join(f"{c}*v^{v}*z^{z}" for (v, z), c in self.items())
 
-    def __repr__(self) -> str:
-        return f"BiLaurent({dict(self.items())!r})"
 
-
-class SkeinElem:
+class SkeinElem(_Sparse):
     """Polynomial in formal indeterminates H and C over LaurentPoly.
 
     Terms are keyed by (degree in H, degree in C); both degrees are
     nonnegative. Coefficients identically zero are never stored.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
+    _UNIT = (0, 0)
+    _SCALARS = (int, LaurentPoly)
+    _add_keys = staticmethod(_add_pairs)
+    __mul__ = __rmul__ = _Sparse.__mul__
 
     def __init__(self, terms: Optional[Mapping[tuple, LaurentPoly]] = None):
-        clean: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (h, c), poly in items:
-                if h < 0 or c < 0:
-                    raise ValueError("H and C degrees must be nonnegative")
-                if (h, c) in clean:
-                    poly = clean[(h, c)] + poly
-                if poly:
-                    clean[(h, c)] = poly
-                elif (h, c) in clean:
-                    del clean[(h, c)]
-        self._terms = clean
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "SkeinElem":
-        return cls()
+        super().__init__(terms)
+        if any(h < 0 or c < 0 for h, c in self._terms):
+            raise ValueError("H and C degrees must be nonnegative")
+        self._terms = {k: LaurentPoly._coerce(poly) for k, poly in self._terms.items()}
 
     @classmethod
     def scalar(cls, value) -> "SkeinElem":
-        return cls({(0, 0): LaurentPoly._coerce(value)})
-
-    @classmethod
-    def one(cls) -> "SkeinElem":
-        return cls.scalar(1)
+        return cls({(0, 0): value})
 
     @classmethod
     def indeterminate_h(cls) -> "SkeinElem":
-        return cls({(1, 0): LaurentPoly.one()})
+        return cls({(1, 0): 1})
 
     @classmethod
     def indeterminate_c(cls) -> "SkeinElem":
-        return cls({(0, 1): LaurentPoly.one()})
-
-    @classmethod
-    def _coerce(cls, x) -> "SkeinElem":
-        if isinstance(x, SkeinElem):
-            return x
-        if isinstance(x, (LaurentPoly, int)):
-            return cls.scalar(x)
-        raise TypeError(f"cannot treat {type(x).__name__} as a SkeinElem")
-
-    def items(self):
-        return sorted(self._terms.items())
+        return cls({(0, 1): 1})
 
     def coeff(self, h_deg: int, c_deg: int) -> LaurentPoly:
         return self._terms.get((h_deg, c_deg), LaurentPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __neg__(self) -> "SkeinElem":
-        return SkeinElem({k: -p for k, p in self._terms.items()})
-
-    def __add__(self, other) -> "SkeinElem":
-        other = self._coerce(other)
-        merged = dict(self._terms)
-        for k, p in other._terms.items():
-            s = merged.get(k, LaurentPoly.zero()) + p
-            if s:
-                merged[k] = s
-            elif k in merged:
-                del merged[k]
-        out = SkeinElem()
-        out._terms = merged
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "SkeinElem":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "SkeinElem":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "SkeinElem":
-        other = self._coerce(other)
-        prod: dict = {}
-        for (h1, c1), p1 in self._terms.items():
-            for (h2, c2), p2 in other._terms.items():
-                k = (h1 + h2, c1 + c2)
-                s = prod.get(k, LaurentPoly.zero()) + p1 * p2
-                if s:
-                    prod[k] = s
-                elif k in prod:
-                    del prod[k]
-        out = SkeinElem()
-        out._terms = prod
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SkeinElem":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = SkeinElem.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def substitute(
         self,
@@ -527,18 +388,6 @@ class SkeinElem:
                 out[k] = val
         return out
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, LaurentPoly)):
-            other = SkeinElem._coerce(other)
-        if not isinstance(other, SkeinElem):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(self.items()))
-        return self._hash
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -551,9 +400,6 @@ class SkeinElem:
                 factors.append(f"C^{c}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SkeinElem({dict(self.items())!r})"
 
     def to_rows(self):
         """JSON form: [h_deg, c_deg, laurent_pairs] rows sorted by degree."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import slopecert.certify
 from slopecert.braid import BraidWord
 from slopecert.certify import (
     REASON_DIRECT,
@@ -11,6 +12,7 @@ from slopecert.certify import (
     parse_slope,
 )
 from slopecert.cli import main
+from slopecert.homfly import OracleBudgetError, SquareSearchError
 from slopecert.poly import LaurentPoly
 
 
@@ -132,6 +134,24 @@ class TestBatch:
         report = batch([(2, 1)])
         assert report.all_ok
 
+    def test_engine_errors_recorded_not_fatal(self, monkeypatch):
+        real = slopecert.certify.gamma_positive
+        errors = iter([SquareSearchError("no square found"), OracleBudgetError("word too long")])
+
+        def failing_twice(w, *args, **kwargs):
+            error = next(errors, None)
+            if error is not None:
+                raise error
+            return real(w, *args, **kwargs)
+
+        monkeypatch.setattr(slopecert.certify, "gamma_positive", failing_twice)
+        report = batch(["2/1", "3/1", "5/2"])
+        assert [e.ok for e in report.entries] == [False, False, True]
+        assert report.summary_lines()[:2] == [
+            "FAIL slope 2/1: no square found",
+            "FAIL slope 3/1: word too long",
+        ]
+
 
 class TestCli:
     def test_certify_json(self, tmp_path, capsys):
@@ -170,3 +190,16 @@ class TestCli:
         outdir = tmp_path / "certs"
         assert main(["batch", "--slopes", str(slopes), "--json-dir", str(outdir)]) == 0
         assert (outdir / "certificate_2_1.json").exists()
+
+    def test_batch_keeps_a_slope_and_its_mirror_apart(self, tmp_path):
+        slopes = tmp_path / "slopes.txt"
+        slopes.write_text("5/2\n-5/2\n")
+        outdir = tmp_path / "certs"
+        assert main(["batch", "--slopes", str(slopes), "--json-dir", str(outdir)]) == 0
+        plain = json.loads((outdir / "certificate_5_2.json").read_text())
+        mirrored = (outdir / "certificate_5_2_mirror.json").read_text()
+        assert plain["mirror_of"] is None
+        assert json.loads(mirrored) == {**plain, "mirror_of": "-5/2"}
+        single = tmp_path / "cert.json"
+        assert main(["certify", "--slope=-5/2", "--json", str(single)]) == 0
+        assert single.read_text() == mirrored
