@@ -9,10 +9,13 @@ delta = (v^-1 - v)/z. The cost is exponential, so calls are budgeted.
 
 ``gamma_positive`` is the fast engine for positive braid words. It computes
 the zeroth coefficient polynomial directly in Z[a^{+-1}] by peeling split
-factors and connected summands off the word, and otherwise rewriting the
-word (cyclic shifts, commutations, braid relations) until some generator
-appears twice in a row; the resulting skein triple of positive braid links
-drops the letter count on both branches.
+factors and connected summands off the word, and otherwise conjugating it
+to a word that starts with a square: in a rotation of the word, the prefix
+before the first letter g whose two strands have already crossed is a
+permutation braid with right descent g, so it equals Q g for a reduced
+word Q read off its permutation (Garside; El-Rifai and Morton). The skein
+triple at the square is of positive braid links and drops the letter count
+on both branches.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -23,7 +26,6 @@ connected sum it is multiplicative up to the (-(1 + a^-1)) split factor.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +33,6 @@ from .braid import BraidWord, bennequin_euler_char, closure_components
 from .poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 
 DEFAULT_ORACLE_BUDGET = 14
-DEFAULT_SEARCH_CAP = 100_000
 MEMO_CAP_ENV = "SLOPECERT_MEMO_CAP"
 
 # delta = (v^-1 - v) / z, the unknot-disjoint-union multiplier
@@ -48,7 +49,8 @@ class OracleBudgetError(Exception):
 
 
 class SquareSearchError(Exception):
-    """No repeated-letter rewrite was found and the oracle fallback failed."""
+    """Every rotation of a word is a permutation braid, so no square was
+    found, and the word is too long for the oracle fallback."""
 
 
 def clear_caches() -> None:
@@ -266,74 +268,53 @@ def split_factors(w: BraidWord) -> int:
     return len({find(i) for i in range(n)})
 
 
-def _comm_sort(letters: tuple) -> tuple:
-    """Bubble far-apart generators (|i-j| >= 2) into ascending order."""
-    word = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if a - b >= 2:
-                word[i], word[i + 1] = b, a
-                changed = True
-    return tuple(word)
+def _sorting_word(pos: list) -> tuple:
+    """A reduced word that carries the identity arrangement of strands to
+    ``pos``: the swaps of a bubble sort of ``pos``, read backwards."""
+    arr = list(pos)
+    swaps = []
+    for end in range(len(arr) - 1, 0, -1):
+        for j in range(end):
+            if arr[j] > arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                swaps.append(j + 1)
+    return tuple(reversed(swaps))
 
 
-def _gamma_key(n: int, letters: tuple) -> tuple:
-    """Memo key: the least commutation-normalized cyclic rotation."""
-    if not letters:
-        return (n,)
-    best = None
-    for i in range(len(letters)):
-        cand = _comm_sort(letters[i:] + letters[:i])
-        if best is None or cand < best:
-            best = cand
-    return (n,) + best
+def _square_at_recrossing(n: int, word: tuple) -> Optional[tuple]:
+    """Conjugate ``word`` = P g rest, where g is the first letter on two
+    strands that P already crossed, to (g, g) + rest + Q; None if ``word``
+    is a permutation braid.
 
-
-def _rewrite_neighbors(word: tuple):
-    """One-move rewrites preserving the closure: a cyclic shift, adjacent
-    commutations, and braid-relation flips aba <-> bab for |a-b| = 1."""
-    yield word[1:] + word[:1]
-    L = len(word)
-    for i in range(L - 1):
-        a, b = word[i], word[i + 1]
-        if abs(a - b) >= 2:
-            yield word[:i] + (b, a) + word[i + 2 :]
-    for i in range(L - 2):
-        a, b, c = word[i], word[i + 1], word[i + 2]
-        if a == c and abs(a - b) == 1:
-            yield word[:i] + (b, a, b) + word[i + 3 :]
-
-
-def _square_position(word: tuple) -> Optional[int]:
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return i
+    P is a permutation braid with right descent g, so P = Q g for the
+    reduced word Q of its permutation times s_g (reduced words of one
+    permutation differ only by braid relations, Matsumoto)."""
+    pos = list(range(n))
+    for k, g in enumerate(word):
+        crossed = pos[g - 1] > pos[g]
+        pos[g - 1], pos[g] = pos[g], pos[g - 1]
+        if crossed:
+            return (g, g) + word[k + 1 :] + _sorting_word(pos)
     return None
 
 
-def _find_square(letters: tuple, cap: int) -> Optional[tuple]:
-    """Search closure-preserving rewrites of ``letters`` for a word with a
-    repeated adjacent letter; return that word rotated so the repeat sits
-    at the front, or None if the node cap runs out first."""
-    start = tuple(letters)
-    seen = {start}
-    queue = deque([start])
-    nodes = 0
-    while queue and nodes < cap:
-        word = queue.popleft()
-        nodes += 1
-        j = _square_position(word)
-        if j is not None:
-            return word[j:] + word[:j]
-        if word and word[-1] == word[0]:
-            return word[-1:] + word[:-1]
-        for nb in _rewrite_neighbors(word):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
+def _find_square(letters: tuple, n: int) -> Optional[tuple]:
+    """A positive word of the same length and closure as ``letters`` that
+    starts with a square (g, g), or None."""
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    for word in rotations:
+        found = _square_at_recrossing(n, word)
+        if found is not None:
+            return found
+    # every rotation is a permutation braid: write each as Q g through each
+    # right descent g, and try the conjugate g Q
+    for word in rotations:
+        for g in range(1, n):
+            descent = _square_at_recrossing(n, word + (g,))
+            if descent is not None:
+                found = _square_at_recrossing(n, (g,) + descent[2:])
+                if found is not None:
+                    return found
     return None
 
 
@@ -352,8 +333,8 @@ def _split_word(n: int, letters: tuple, g: int, drop_single: bool):
     return (g, left), (n - g, right)
 
 
-def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> LaurentPoly:
-    key = _gamma_key(n, letters)
+def _gamma_rec(n: int, letters: tuple, oracle_budget: int) -> LaurentPoly:
+    key = (n, _min_rotation(letters))
     cached = _gamma_memo.get(key)
     if cached is not None:
         return cached
@@ -372,8 +353,8 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> L
         if counts[g] == 0:
             # split union across position g
             (ln, lw), (rn, rw) = _split_word(n, letters, g, drop_single=False)
-            left = _gamma_rec(ln, lw, oracle_budget, search_cap)
-            right = _gamma_rec(rn, rw, oracle_budget, search_cap)
+            left = _gamma_rec(ln, lw, oracle_budget)
+            right = _gamma_rec(rn, rw, oracle_budget)
             result = -(ONE_PLUS_INV_ALPHA * left * right)
             break
     if result is None:
@@ -381,13 +362,13 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> L
             if counts[g] == 1:
                 # single crossing between the halves: connected sum
                 (ln, lw), (rn, rw) = _split_word(n, letters, g, drop_single=True)
-                left = _gamma_rec(ln, lw, oracle_budget, search_cap)
-                right = _gamma_rec(rn, rw, oracle_budget, search_cap)
+                left = _gamma_rec(ln, lw, oracle_budget)
+                right = _gamma_rec(rn, rw, oracle_budget)
                 result = left * right
                 break
 
     if result is None:
-        found = _find_square(letters, search_cap)
+        found = _find_square(letters, n)
         if found is not None:
             # found = (g, g, rest...); skein triple of positive words
             plus = found
@@ -395,9 +376,9 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> L
             minus = found[2:]
             c_plus = _components(n, plus)
             c_zero = _components(n, smooth)
-            g_minus = _gamma_rec(n, minus, oracle_budget, search_cap)
+            g_minus = _gamma_rec(n, minus, oracle_budget)
             if c_zero == c_plus + 1:
-                g_zero = _gamma_rec(n, smooth, oracle_budget, search_cap)
+                g_zero = _gamma_rec(n, smooth, oracle_budget)
                 result = -(ALPHA * (g_minus + g_zero))
             elif c_zero == c_plus - 1:
                 result = -(ALPHA * g_minus)
@@ -405,13 +386,13 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> L
                 raise AssertionError("smoothing changed components by more than 1")
 
     if result is None:
-        # no square within the cap; fall back to the oracle if affordable
+        # no square found; fall back to the oracle if affordable
         if len(letters) <= oracle_budget:
             result = zeroth_gamma(homfly_oracle(BraidWord(n, letters), oracle_budget))
         else:
             raise SquareSearchError(
-                f"no repeated letter reachable within {search_cap} rewrites for "
-                f"{BraidWord(n, letters)} and the word exceeds the oracle budget "
+                f"no square found for {BraidWord(n, letters)}: every rotation is a "
+                f"permutation braid, and the word exceeds the oracle budget "
                 f"({len(letters)} > {oracle_budget})"
             )
 
@@ -419,11 +400,7 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int, search_cap: int) -> L
     return result
 
 
-def gamma_positive(
-    w: BraidWord,
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-    search_cap: int = DEFAULT_SEARCH_CAP,
-) -> GammaResult:
+def gamma_positive(w: BraidWord, oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> GammaResult:
     """Zeroth coefficient polynomial of a positive braid closure, with its
     normalized form.
 
@@ -434,7 +411,7 @@ def gamma_positive(
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    gamma = _gamma_rec(w.strands, w.letters, oracle_budget, search_cap)
+    gamma = _gamma_rec(w.strands, w.letters, oracle_budget)
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

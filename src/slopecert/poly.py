@@ -155,7 +155,11 @@ class _Sparse:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(self.items()))
+            if self._terms.keys() <= {self._UNIT}:
+                # zero or a constant: equal to its scalar, so hash as it
+                self._hash = hash(self._terms.get(self._UNIT, 0))
+            else:
+                self._hash = hash(tuple(self.items()))
         return self._hash
 
     def __repr__(self) -> str:

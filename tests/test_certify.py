@@ -70,6 +70,14 @@ class TestCertifySlope:
         assert cert.genus == 4
         assert cert.gamma_cr == LaurentPoly({4: 7, 5: 8, 6: 2})
 
+    def test_direct_route_on_non_simple_cables(self):
+        # cables on which some pair of strands crosses more than once; a
+        # breadth-first square search once gave up on each of them
+        for p, q in ((3, 2), (3, 4), (2, 5), (3, 5)):
+            cert = certify_slope(p, q, gamma_budget=80)
+            assert cert.diff_nonzero_reason == REASON_DIRECT
+            assert cert.gamma_cr_is_unit is False
+
     def test_larger_slopes_use_genus_route(self):
         for p, q in ((7, 5), (11, 4)):
             cert = certify_slope(p, q)
@@ -133,6 +141,11 @@ class TestBatch:
     def test_tuple_input(self):
         report = batch([(2, 1)])
         assert report.all_ok
+
+    def test_direct_route_batch(self):
+        report = batch(["3/2", "5/2"], gamma_budget=40)
+        assert report.all_ok
+        assert [e.certificate.diff_nonzero_reason for e in report.entries] == [REASON_DIRECT] * 2
 
     def test_engine_errors_recorded_not_fatal(self, monkeypatch):
         real = slopecert.certify.gamma_positive

@@ -6,9 +6,11 @@ import pytest
 from conftest import random_word
 from slopecert.braid import BraidWord, cable_word, closure_components, total_linking
 from slopecert.homfly import (
+    DEFAULT_ORACLE_BUDGET,
     HomflyResult,
     OracleBudgetError,
-    _rewrite_neighbors,
+    _find_square,
+    _square_at_recrossing,
     clear_caches,
     gamma_linking_formula,
     gamma_positive,
@@ -283,20 +285,42 @@ class TestRewrites:
             if len(reduced) >= 2:
                 assert reduced[0] != -reduced[-1]
 
-    def test_exponent_sum_preserved(self):
-        rng = random.Random(1)
-        for _ in range(40):
-            w = random_word(rng, max_strands=4, max_letters=8, positive=True)
-            total = sum(w.letters)
-            seen_rotation = False
-            for nb in _rewrite_neighbors(w.letters):
-                assert len(nb) == len(w.letters)
-                assert sum(1 for x in nb) == len(w.letters)
-                assert BraidWord(w.strands, nb).exponent_sum == w.exponent_sum
-                if nb == w.letters[1:] + w.letters[:1]:
-                    seen_rotation = True
-            assert seen_rotation
-            assert total == sum(w.letters)
+    @staticmethod
+    def check_square(n, letters):
+        found = _find_square(letters, n)
+        assert found is not None
+        assert len(found) == len(letters) and found[0] == found[1]
+        assert BraidWord(n, found).exponent_sum == BraidWord(n, letters).exponent_sum
+        if len(letters) <= DEFAULT_ORACLE_BUDGET:
+            assert oracle_gamma(BraidWord(n, found)) == oracle_gamma(BraidWord(n, letters))
+
+    def test_find_square_conjugates_to_a_square(self):
+        # the words _gamma_rec passes on: each generator occurs at least twice
+        for n in (2, 3, 4):
+            for length in range(2 * (n - 1), 9):
+                for letters in itertools.product(range(1, n), repeat=length):
+                    if all(letters.count(g) >= 2 for g in range(1, n)):
+                        self.check_square(n, letters)
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(5, 6)
+            letters = ()
+            while not all(letters.count(g) >= 2 for g in range(1, n)):
+                length = rng.randint(2 * (n - 1), n * (n - 1) // 2)
+                letters = tuple(rng.randint(1, n - 1) for _ in range(length))
+            self.check_square(n, letters)
+
+    def test_find_square_through_a_right_descent(self):
+        # every rotation of these words is a permutation braid, so only the
+        # descent step finds a square
+        for w in (
+            BraidWord(5, (1, 2, 4, 1, 3, 2, 4, 3)),
+            BraidWord.parse("8: 2 1 3 2 1 4 3 2 5 4 3 7 6 5 4 7 6 5 1"),
+        ):
+            L = len(w.letters)
+            rotations = [w.letters[i:] + w.letters[:i] for i in range(L)]
+            assert all(_square_at_recrossing(w.strands, r) is None for r in rotations)
+            self.check_square(w.strands, w.letters)
 
 
 class TestCableClosuresEmpirically:

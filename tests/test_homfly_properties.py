@@ -1,0 +1,72 @@
+"""Both Γ engines agree, and are unchanged by the moves that preserve a
+braid closure: rotation (conjugation), a far commutation and a braid
+relation. Checked by hypothesis on positive words within the oracle budget.
+
+The memos are cleared before every evaluation, since both key on the least
+rotation of the word and would otherwise answer a rotated word from memory.
+Runs are derandomized, so every failure reproduces.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slopecert.braid import BraidWord
+from slopecert.homfly import clear_caches, gamma_positive, homfly_oracle, zeroth_gamma
+
+PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+def letters_on(n, max_size):
+    return st.lists(st.integers(1, n - 1), max_size=max_size).map(tuple)
+
+
+@st.composite
+def words(draw, min_strands=2, core=()):
+    """(strands, prefix, suffix) for a positive word prefix + core + suffix
+    of at most 10 letters."""
+    n = draw(st.integers(min_strands, 5))
+    room = 10 - len(core)
+    prefix = draw(letters_on(n, room))
+    suffix = draw(letters_on(n, room - len(prefix)))
+    return n, prefix, suffix
+
+
+def both_gammas(n, letters):
+    w = BraidWord(n, letters)
+    clear_caches()
+    fast = gamma_positive(w).gamma
+    clear_caches()
+    return fast, zeroth_gamma(homfly_oracle(w))
+
+
+def assert_same_closure_gamma(n, first, second):
+    fast, oracle = both_gammas(n, first)
+    assert fast == oracle
+    assert both_gammas(n, second) == (fast, oracle)
+
+
+@PROFILE
+@given(words(), st.integers(0, 9))
+def test_rotation(word, k):
+    n, prefix, suffix = word
+    letters = prefix + suffix
+    k = k % len(letters) if letters else 0
+    assert_same_closure_gamma(n, letters, letters[k:] + letters[:k])
+
+
+@PROFILE
+@given(st.data())
+def test_far_commutation(data):
+    n, prefix, suffix = data.draw(words(min_strands=4, core=(1, 3)))
+    a = data.draw(st.integers(1, n - 3))
+    b = data.draw(st.integers(a + 2, n - 1))
+    assert_same_closure_gamma(n, prefix + (a, b) + suffix, prefix + (b, a) + suffix)
+
+
+@PROFILE
+@given(st.data())
+def test_braid_relation(data):
+    n, prefix, suffix = data.draw(words(min_strands=3, core=(1, 2, 1)))
+    a = data.draw(st.integers(1, n - 2))
+    b = a + 1
+    assert_same_closure_gamma(n, prefix + (a, b, a) + suffix, prefix + (b, a, b) + suffix)

@@ -71,6 +71,21 @@ def test_equal_values_hash_equal(cls):
 
 
 @ring
+def test_constants_hash_like_their_scalar(cls):
+    scalars = st.one_of(coeffs, laurent) if cls is SkeinElem else coeffs
+
+    @PROFILE
+    @given(RINGS[cls], scalars)
+    def check(x, c):
+        for value in (x, x - x, cls.one() * c):
+            if value == c:
+                assert hash(value) == hash(c)
+        assert cls.one() * c == c
+
+    check()
+
+
+@ring
 def test_power_is_repeated_multiplication(cls):
     @PROFILE
     @given(RINGS[cls], st.integers(0, 4))
