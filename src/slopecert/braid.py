@@ -36,16 +36,6 @@ class BraidWord:
     def is_positive(self) -> bool:
         return all(x > 0 for x in self.letters)
 
-    def permutation(self) -> tuple:
-        """perm[i] = bottom position of the strand entering at top position i."""
-        pos = list(range(self.strands))  # pos[strand] = current position
-        for x in self.letters:
-            i = abs(x) - 1
-            a = pos.index(i)
-            b = pos.index(i + 1)
-            pos[a], pos[b] = pos[b], pos[a]
-        return tuple(pos)
-
     def reversed(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(reversed(self.letters)))
 
@@ -72,35 +62,37 @@ class ClosureInfo:
     genus: Optional[int]  # only defined for knot closures
 
 
-def closure_components(w: BraidWord) -> int:
-    """Number of components of the braid closure: cycles of the permutation."""
-    perm = w.permutation()
-    seen = [False] * w.strands
+def closure_labels(n: int, letters) -> list:
+    """labels[i] = closure component of the strand entering at top position
+    i, numbered from 0 in order of each component's lowest position.
+
+    One walk of cur[position] = strand gives the inverse of the closure
+    permutation, whose cycles are the same sets of positions."""
+    cur = list(range(n))
+    for x in letters:
+        i = abs(x) - 1
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    labels = [-1] * n
     count = 0
-    for i in range(w.strands):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return count
+    for i in range(n):
+        if labels[i] < 0:
+            j = i
+            while labels[j] < 0:
+                labels[j] = count
+                j = cur[j]
+            count += 1
+    return labels
+
+
+def closure_components(w: BraidWord) -> int:
+    """Number of components of the braid closure."""
+    return max(closure_labels(w.strands, w.letters)) + 1
 
 
 def total_linking(w: BraidWord) -> int:
     """Total linking number of the closure: half the signed count of
     crossings between distinct components."""
-    perm = w.permutation()
-    comp = [None] * w.strands
-    label = 0
-    for i in range(w.strands):
-        if comp[i] is None:
-            j = i
-            while comp[j] is None:
-                comp[j] = label
-                j = perm[j]
-            label += 1
+    comp = closure_labels(w.strands, w.letters)
     cur = list(range(w.strands))  # cur[pos] = strand currently at pos
     acc = 0
     for x in w.letters:

@@ -140,7 +140,8 @@ def certify_slope(
     """Build and internally verify the certificate for the slope p/q.
 
     Raises ValueError outside the working range (p > 1, q >= 1, coprime)
-    and CertificateError if any internal identity fails.
+    and CertificateError if any internal identity fails. The direct route
+    can also raise SquareSearchError or OracleBudgetError.
     """
     if q < 1:
         raise ValueError("q must be at least 1 (normalize the sign into p)")

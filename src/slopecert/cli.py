@@ -8,23 +8,16 @@ import sys
 from pathlib import Path
 
 from .certify import DEFAULT_GAMMA_BUDGET, batch, parse_slope
-from .homfly import MEMO_CAP_ENV
-
-_EPILOG = (
-    f"The environment variable {MEMO_CAP_ENV} caps the size of the internal "
-    "memo tables (entries per table)."
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopecert",
         description="Certify that a rational surgery slope is shared by two distinct knots.",
-        epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    one = sub.add_parser("certify", help="certify a single slope P/Q", epilog=_EPILOG)
+    one = sub.add_parser("certify", help="certify a single slope P/Q")
     one.add_argument("--slope", required=True, help="slope as P/Q or a bare integer P")
     one.add_argument("--s-start", type=int, default=1, help="lower bound for the s search")
     one.add_argument(
@@ -41,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check the fast engine against the exact skein oracle when affordable",
     )
 
-    many = sub.add_parser("batch", help="certify every slope listed in a file", epilog=_EPILOG)
+    many = sub.add_parser("batch", help="certify every slope listed in a file")
     many.add_argument("--slopes", required=True, metavar="FILE", help="one P/Q per line, # comments")
     many.add_argument("--s-start", type=int, default=1)
     many.add_argument("--gamma-budget", type=int, default=DEFAULT_GAMMA_BUDGET, metavar="CROSSINGS")
@@ -99,7 +92,11 @@ def _cmd_certify(args) -> int:
         if args.json == "-":
             sys.stdout.write(payload)
         else:
-            Path(args.json).write_text(payload)
+            try:
+                Path(args.json).write_text(payload)
+            except OSError as exc:
+                print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+                return 1
             print(f"wrote {args.json}")
     return 0
 
@@ -121,12 +118,17 @@ def _cmd_batch(args) -> int:
         print(line)
     if args.json_dir:
         out = Path(args.json_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for entry, mirror_of in zip(report.entries, mirrors):
-            if entry.ok:
-                p, q = entry.certificate.slope
-                name = f"certificate_{p}_{q}{'' if mirror_of is None else '_mirror'}.json"
-                (out / name).write_text(_certificate_json(entry.certificate, mirror_of))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for entry, mirror_of in zip(report.entries, mirrors):
+                if entry.ok:
+                    p, q = entry.certificate.slope
+                    suffix = "" if mirror_of is None else "_mirror"
+                    payload = _certificate_json(entry.certificate, mirror_of)
+                    (out / f"certificate_{p}_{q}{suffix}.json").write_text(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.json_dir}: {exc}", file=sys.stderr)
+            return 1
     return 0 if report.all_ok else 1
 
 

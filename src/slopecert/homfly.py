@@ -25,21 +25,18 @@ connected sum it is multiplicative up to the (-(1 + a^-1)) split factor.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, bennequin_euler_char, closure_components
+from .braid import BraidWord, bennequin_euler_char, closure_components, closure_labels
 from .poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 
 DEFAULT_ORACLE_BUDGET = 14
-MEMO_CAP_ENV = "SLOPECERT_MEMO_CAP"
+_MEMO_CAP = 1_000_000  # entries per memo table
 
 # delta = (v^-1 - v) / z, the unknot-disjoint-union multiplier
 _DELTA = BiLaurent({(-1, -1): 1, (1, -1): -1})
 
-# CPython dict reads/writes are atomic under the GIL, and entries are pure
-# immutable values, so a lost race between threads only recomputes a result.
 _oracle_memo: dict = {}
 _gamma_memo: dict = {}
 
@@ -58,15 +55,8 @@ def clear_caches() -> None:
     _gamma_memo.clear()
 
 
-def _memo_cap() -> int:
-    raw = os.environ.get(MEMO_CAP_ENV)
-    if raw is None:
-        return 1_000_000
-    return max(0, int(raw))
-
-
 def _memo_put(table: dict, key, value) -> None:
-    if len(table) < _memo_cap():
+    if len(table) < _MEMO_CAP:
         table[key] = value
 
 
@@ -113,10 +103,6 @@ def _min_rotation(letters: tuple) -> tuple:
     if not letters:
         return letters
     return min(letters[i:] + letters[:i] for i in range(len(letters)))
-
-
-def _components(n: int, letters: tuple) -> int:
-    return closure_components(BraidWord(n, letters))
 
 
 def _first_bad_crossing(n: int, letters: tuple) -> Optional[int]:
@@ -171,7 +157,8 @@ def _oracle(n: int, letters: tuple) -> BiLaurent:
         return cached
     j = _first_bad_crossing(n, letters)
     if j is None:
-        result = _DELTA ** (_components(n, letters) - 1)
+        # the largest label is the component count less one
+        result = _DELTA ** max(closure_labels(n, letters))
     else:
         x = letters[j]
         switched = letters[:j] + (-x,) + letters[j + 1 :]
@@ -370,20 +357,18 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int) -> LaurentPoly:
     if result is None:
         found = _find_square(letters, n)
         if found is not None:
-            # found = (g, g, rest...); skein triple of positive words
-            plus = found
-            smooth = found[1:]
-            minus = found[2:]
-            c_plus = _components(n, plus)
-            c_zero = _components(n, smooth)
-            g_minus = _gamma_rec(n, minus, oracle_budget)
-            if c_zero == c_plus + 1:
-                g_zero = _gamma_rec(n, smooth, oracle_budget)
+            # found = (g, g) + rest; skein triple of positive words. The
+            # smoothing (g,) + rest splits a component of rest's closure iff
+            # its strands at positions g-1 and g lie on one component, and
+            # merges two components otherwise.
+            g, rest = found[0], found[2:]
+            labels = closure_labels(n, rest)
+            g_minus = _gamma_rec(n, rest, oracle_budget)
+            if labels[g - 1] == labels[g]:
+                g_zero = _gamma_rec(n, found[1:], oracle_budget)
                 result = -(ALPHA * (g_minus + g_zero))
-            elif c_zero == c_plus - 1:
-                result = -(ALPHA * g_minus)
             else:
-                raise AssertionError("smoothing changed components by more than 1")
+                result = -(ALPHA * g_minus)
 
     if result is None:
         # no square found; fall back to the oracle if affordable

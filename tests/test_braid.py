@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_valid_params
 from slopecert.braid import (
@@ -10,6 +12,7 @@ from slopecert.braid import (
     cable_word,
     closure_components,
     closure_info,
+    closure_labels,
     torus_braid,
     total_linking,
 )
@@ -144,3 +147,83 @@ class TestLinking:
         w = cable_word(2, 3, 2, 0)
         assert closure_components(w) == 2
         assert total_linking(w) == 3
+
+
+# closure_labels, by hypothesis against references that track pos[strand]
+# instead of the strand at each position. Runs are derandomized.
+
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def words(draw, positive=False):
+    """(strands, letters): a word of at most 20 letters on at most 6 strands."""
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return n, ()
+    letter = st.integers(1, n - 1)
+    if not positive:
+        letter = st.builds(lambda g, sign: g * sign, letter, st.sampled_from((1, -1)))
+    return n, tuple(draw(st.lists(letter, max_size=20)))
+
+
+def reference_cycles(n, letters):
+    """The cycles of the closure permutation, perm[strand] = bottom position."""
+    pos = list(range(n))
+    for x in letters:
+        i = abs(x) - 1
+        a, b = pos.index(i), pos.index(i + 1)
+        pos[a], pos[b] = pos[b], pos[a]
+    cycles, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            cycle, j = set(), i
+            while j not in cycle:
+                cycle.add(j)
+                j = pos[j]
+            seen |= cycle
+            cycles.append(frozenset(cycle))
+    return cycles
+
+
+def reference_linking(n, letters):
+    comp = {i: k for k, cycle in enumerate(reference_cycles(n, letters)) for i in cycle}
+    pos = list(range(n))
+    acc = 0
+    for x in letters:
+        i = abs(x) - 1
+        a, b = pos.index(i), pos.index(i + 1)
+        if comp[a] != comp[b]:
+            acc += 1 if x > 0 else -1
+        pos[a], pos[b] = pos[b], pos[a]
+    assert acc % 2 == 0
+    return acc // 2
+
+
+class TestClosureLabels:
+    @PROFILE
+    @given(words())
+    def test_labels_are_the_permutation_cycles(self, word):
+        n, letters = word
+        labels = closure_labels(n, letters)
+        cycles = reference_cycles(n, letters)
+        assert sorted(set(labels)) == list(range(len(cycles)))
+        assert {frozenset(i for i in range(n) if labels[i] == k) for k in labels} == set(cycles)
+        assert closure_components(BraidWord(n, letters)) == len(cycles)
+
+    @PROFILE
+    @given(words())
+    def test_total_linking_matches_reference(self, word):
+        n, letters = word
+        assert total_linking(BraidWord(n, letters)) == reference_linking(n, letters)
+
+    @PROFILE
+    @given(words(positive=True))
+    def test_one_letter_splits_or_merges_by_labels(self, word):
+        # the skein square step of gamma_positive relies on this
+        n, letters = word
+        labels = closure_labels(n, letters)
+        before = closure_components(BraidWord(n, letters))
+        for g in range(1, n):
+            change = 1 if labels[g - 1] == labels[g] else -1
+            assert closure_components(BraidWord(n, (g,) + letters)) == before + change

@@ -204,6 +204,20 @@ class TestCli:
         assert main(["batch", "--slopes", str(slopes), "--json-dir", str(outdir)]) == 0
         assert (outdir / "certificate_2_1.json").exists()
 
+    def test_certify_unwritable_json_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "cert.json"
+        assert main(["certify", "--slope", "3/2", "--json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
+
+    def test_batch_unwritable_json_dir_is_an_error_line(self, tmp_path, capsys):
+        slopes = tmp_path / "slopes.txt"
+        slopes.write_text("2/1\n")
+        outdir = slopes / "sub"  # a directory under a regular file
+        assert main(["batch", "--slopes", str(slopes), "--json-dir", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {outdir}")
+
     def test_batch_keeps_a_slope_and_its_mirror_apart(self, tmp_path):
         slopes = tmp_path / "slopes.txt"
         slopes.write_text("5/2\n-5/2\n")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_word
+from slopecert import homfly
 from slopecert.braid import BraidWord, cable_word, closure_components, total_linking
 from slopecert.homfly import (
     DEFAULT_ORACLE_BUDGET,
@@ -355,10 +356,11 @@ class TestCableClosuresEmpirically:
 
 class TestMemoCap:
     def test_zero_cap_still_correct(self, monkeypatch):
-        monkeypatch.setenv("SLOPECERT_MEMO_CAP", "0")
+        monkeypatch.setattr(homfly, "_MEMO_CAP", 0)
         clear_caches()
         try:
             assert oracle_gamma(TREFOIL) == GAMMA_TREFOIL
             assert gamma_positive(TREFOIL).gamma == GAMMA_TREFOIL
+            assert homfly._oracle_memo == {} and homfly._gamma_memo == {}
         finally:
             clear_caches()
