@@ -9,6 +9,7 @@ sign. Everything here is combinatorial bookkeeping on those words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -23,10 +24,14 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("need at least one strand")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if x == 0 or abs(x) >= self.strands:
-                raise ValueError(f"letter {x} is not a generator on {self.strands} strands")
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        n = self.strands
+        if letters and (0 in letters or max(letters) >= n or min(letters) <= -n):
+            # name the first bad letter
+            for x in letters:
+                if x == 0 or abs(x) >= n:
+                    raise ValueError(f"letter {x} is not a generator on {n} strands")
 
     @property
     def exponent_sum(self) -> int:
@@ -34,7 +39,7 @@ class BraidWord:
 
     @property
     def is_positive(self) -> bool:
-        return all(x > 0 for x in self.letters)
+        return not self.letters or min(self.letters) > 0
 
     def reversed(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(reversed(self.letters)))
@@ -42,7 +47,7 @@ class BraidWord:
     def __str__(self) -> str:
         if not self.letters:
             return f"{self.strands}:"
-        return f"{self.strands}: " + " ".join(str(x) for x in self.letters)
+        return f"{self.strands}: " + " ".join(map(str, self.letters))
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
@@ -108,10 +113,13 @@ def total_linking(w: BraidWord) -> int:
 def torus_braid(r: int, s: int) -> BraidWord:
     """The standard positive braid on s strands closing to the (r, s) torus
     link: (sigma_1 ... sigma_{s-1}) repeated r times."""
+    _check_torus(r, s)
+    return BraidWord(s, tuple(range(1, s)) * r)
+
+
+def _check_torus(r: int, s: int) -> None:
     if r < 0 or s < 1:
         raise ValueError("need r >= 0 and s >= 1")
-    block = tuple(range(1, s))
-    return BraidWord(s, block * r)
 
 
 def _bundle_swap(base_index: int, q: int) -> tuple:
@@ -134,6 +142,10 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     """Blackboard q-cabling of the (r, s) torus braid plus ``twists`` copies
     of the q-strand root-twist block (sigma_1 ... sigma_{q-1}).
 
+    The torus braid is its period (sigma_1 ... sigma_{s-1}) repeated r
+    times, so its cabling is the cabled period, one bundle swap per
+    generator, repeated r times.
+
     The closure is the (q*r*(s-1) + twists, q)-cable of the (r, s) torus
     knot: the cabling inherits the diagram framing r*(s-1), and each extra
     block adds one right-handed 1/q twist.
@@ -142,13 +154,9 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError("cable needs q >= 1")
     if twists < 0:
         raise ValueError("negative twist count would break positivity")
-    base = torus_braid(r, s)
-    letters = []
-    for x in base.letters:
-        letters.extend(_bundle_swap(x, q))
-    block = tuple(range(1, q))
-    letters.extend(block * twists)
-    return BraidWord(q * s, tuple(letters))
+    _check_torus(r, s)
+    period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
+    return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)
 
 
 def cable_braid(params: "SlopeParams") -> BraidWord:
@@ -172,10 +180,11 @@ def cable_braid(params: "SlopeParams") -> BraidWord:
 
 def bennequin_euler_char(w: BraidWord) -> int:
     """Euler characteristic of the fiber surface of a positive braid
-    closure: strands minus exponent sum. Rejects non-positive words."""
+    closure: strands minus exponent sum, which for a positive word is its
+    length. Rejects non-positive words."""
     if not w.is_positive:
         raise ValueError("Euler characteristic formula needs a positive word")
-    return w.strands - w.exponent_sum
+    return w.strands - len(w.letters)
 
 
 def closure_info(w: BraidWord) -> ClosureInfo:

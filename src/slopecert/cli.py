@@ -104,8 +104,8 @@ def _cmd_certify(args) -> int:
 def _cmd_batch(args) -> int:
     path = Path(args.slopes)
     try:
-        raw_lines = path.read_text().splitlines()
-    except OSError as exc:
+        raw_lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.slopes}: {exc}", file=sys.stderr)
         return 1
     slopes = []

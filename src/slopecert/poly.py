@@ -21,8 +21,9 @@ returning a new value, so results can be shared freely between tasks.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Optional, TypeVar, Union
 
 _R = TypeVar("_R", bound="_Sparse")
 
@@ -207,14 +208,20 @@ class LaurentPoly(_Sparse):
         return c in (1, -1)
 
     def evaluate(self, x) -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
+        """Exact evaluation at a nonzero rational point.
+
+        For x = n/d, the sum of c * n^(e-lo) * d^(hi-e) over the terms,
+        with lo <= 0 <= hi spanning every exponent, is an integer; the value
+        is that integer over n^(-lo) * d^hi, one exact division."""
         x = Fraction(x)
         if x == 0:
             raise ValueError("cannot evaluate at 0: negative exponents")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x**e
-        return total
+        if not self._terms:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        lo, hi = min(min(self._terms), 0), max(max(self._terms), 0)
+        num = sum(c * n ** (e - lo) * d ** (hi - e) for e, c in self._terms.items())
+        return Fraction(num, n ** -lo * d**hi)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide by ``other`` in Z[a^{+-1}], raising if not exact."""

@@ -31,6 +31,15 @@ _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _ALPHA_PLUS_1 = LaurentPoly({1: 1, 0: 1})
 
+# Leaf values and the skein-edge factor -a, shared by every tree: values
+# are immutable.
+_LEAVES = {
+    "unknot": SkeinElem.one(),
+    "cable": SkeinElem.indeterminate_c(),
+    "band": SkeinElem.indeterminate_h(),
+}
+_SKEIN_FACTOR = SkeinElem.scalar(-ALPHA)
+
 
 @dataclass(frozen=True)
 class PatternExpr:
@@ -183,19 +192,15 @@ def eval_tree(tree: SkeinTree) -> SkeinElem:
     """Bottom-up exact evaluation in Z[a^{+-1}][H, C]."""
     if tree.kind == "leaf":
         t = tree.expr.tag
-        if t == "unknot":
-            return SkeinElem.one()
-        if t == "cable":
-            return SkeinElem.indeterminate_c()
-        if t == "band":
-            return SkeinElem.indeterminate_h()
+        if t in _LEAVES:
+            return _LEAVES[t]
         raise ValueError(f"pattern {t!r} is not a leaf")
     values = [eval_tree(child) for child in tree.children]
     if tree.kind == "skein":
-        return -(SkeinElem.scalar(ALPHA) * (values[0] + values[1]))
+        return _SKEIN_FACTOR * (values[0] + values[1])
     if tree.kind == "linking":
-        weight = ONE_PLUS_INV_ALPHA * neg_alpha_pow(tree.lk)
-        return -(SkeinElem.scalar(weight) * values[0] * values[1])
+        weight = -(ONE_PLUS_INV_ALPHA * neg_alpha_pow(tree.lk))
+        return SkeinElem.scalar(weight) * values[0] * values[1]
     raise ValueError(f"unknown tree kind {tree.kind!r}")
 
 

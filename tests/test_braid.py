@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_valid_params
 from slopecert.braid import (
     BraidWord,
+    _bundle_swap,
     bennequin_euler_char,
     cable_braid,
     cable_word,
@@ -39,6 +40,56 @@ class TestBraidWord:
         assert BraidWord(3, (1, -2, 2, 1)).exponent_sum == 2
         assert BraidWord(2, (1, 1, 1)).is_positive
         assert not BraidWord(2, (1, -1)).is_positive
+
+
+class TestWordChecks:
+    def test_rejects_zero_and_out_of_range_letters_naming_the_first(self):
+        for n in (2, 3, 5):
+            for bad in (0, n, -n):
+                message = rf"^letter {bad} is not a generator on {n} strands$"
+                for letters in ((bad,), (1, -1, bad), (1, bad, n - 1, 0, n + 1)):
+                    with pytest.raises(ValueError, match=message):
+                        BraidWord(n, letters)
+
+    def test_signed_word_properties_match_per_letter_references(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            gens = [g for i in range(1, n) for g in (i, -i)]
+            if rng.random() < 0.5:
+                gens = [g for g in gens if g > 0]
+            letters = tuple(rng.choice(gens) for _ in range(rng.randint(0, 12))) if gens else ()
+            w = BraidWord(n, letters)
+            positive = all(x > 0 for x in letters)
+            exp_sum = sum(1 if x > 0 else -1 for x in letters)
+            assert w.is_positive == positive
+            assert w.exponent_sum == exp_sum
+            if positive:
+                assert bennequin_euler_char(w) == n - exp_sum
+            else:
+                with pytest.raises(ValueError):
+                    bennequin_euler_char(w)
+
+
+class TestCableWord:
+    def test_equals_bundle_swaps_over_the_torus_letters(self):
+        for q in range(1, 5):
+            for r in range(7):
+                for s in range(1, 6):
+                    for twists in range(4):
+                        ref = []
+                        for x in torus_braid(r, s).letters:
+                            ref.extend(_bundle_swap(x, q))
+                        ref.extend(tuple(range(1, q)) * twists)
+                        w = cable_word(q, r, s, twists)
+                        assert w.strands == q * s
+                        assert w.letters == tuple(ref)
+
+    def test_rejects_bad_torus_parameters(self):
+        with pytest.raises(ValueError, match="need r >= 0 and s >= 1"):
+            cable_word(2, -1, 2, 0)
+        with pytest.raises(ValueError, match="need r >= 0 and s >= 1"):
+            cable_word(2, 1, 0, 0)
 
 
 class TestClosureComponents:

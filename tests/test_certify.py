@@ -218,6 +218,14 @@ class TestCli:
         assert main(["batch", "--slopes", str(slopes), "--json-dir", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {outdir}")
 
+    def test_batch_non_utf8_slopes_file_is_an_error_line(self, tmp_path, capsys):
+        slopes = tmp_path / "slopes.txt"
+        slopes.write_bytes(b"\xff\xfe5/2\n")
+        assert main(["batch", "--slopes", str(slopes)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {slopes}")
+        assert "Traceback" not in captured.err
+
     def test_batch_keeps_a_slope_and_its_mirror_apart(self, tmp_path):
         slopes = tmp_path / "slopes.txt"
         slopes.write_text("5/2\n-5/2\n")

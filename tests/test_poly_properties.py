@@ -3,10 +3,11 @@
 Runs are derandomized, so every failure reproduces.
 """
 
+from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopecert.poly import BiLaurent, LaurentPoly, SkeinElem
@@ -113,3 +114,24 @@ def test_laurent_text_and_pair_round_trips(a):
 @given(skein)
 def test_skein_rows_round_trip(x):
     assert SkeinElem.from_rows(x.to_rows()) == x
+
+
+nonzero_rationals = st.one_of(
+    st.sampled_from([-1, 1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+    st.integers(-7, 7).filter(bool),
+    st.fractions(-5, 5, max_denominator=9).filter(bool),
+)
+
+
+@PROFILE
+@given(laurent, nonzero_rationals)
+@example(LaurentPoly.zero(), -1)
+@example(LaurentPoly({2: 3, 5: -1}), Fraction(-2, 3))  # exponents all positive
+@example(LaurentPoly({-4: 1, -1: 2}), Fraction(3, 5))  # exponents all negative
+@example(LaurentPoly({-2: 1, 0: -1, 3: 4}), -1)
+def test_laurent_evaluate_is_exact(a, x):
+    value = a.evaluate(x)
+    assert isinstance(value, Fraction)
+    assert value == sum((c * Fraction(x) ** e for e, c in a.items()), Fraction(0))
+    with pytest.raises(ValueError):
+        a.evaluate(0)
