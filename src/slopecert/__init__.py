@@ -8,7 +8,6 @@ knots share the p/q-surgery yet have different zeroth coefficient
 polynomials.
 """
 
-from .poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
 from .surgery import (
     GluingMatrix,
     SlopeParams,
@@ -19,7 +18,6 @@ from .surgery import (
 )
 from .braid import (
     BraidWord,
-    ClosureInfo,
     bennequin_euler_char,
     cable_braid,
     cable_word,
@@ -29,44 +27,28 @@ from .braid import (
     total_linking,
 )
 from .homfly import (
-    GammaResult,
-    HomflyResult,
     OracleBudgetError,
     SquareSearchError,
     gamma_linking_formula,
     gamma_positive,
     homfly_oracle,
-    split_factors,
     zeroth_gamma,
 )
 from .skein_tree import (
-    PatternExpr,
-    SkeinTree,
-    banded_double,
-    banded_iterated_double,
-    banded_two_cable,
-    banded_two_cable_double,
-    band_knot,
-    cable_knot,
     closed_form_kb,
     closed_form_kg,
     difference,
-    double_of_cable,
     eval_tree,
     expand,
     format_tree,
     kb_root,
     kg_root,
-    two_cable_of_cable,
-    unknot,
 )
 from .certify import (
-    BatchReport,
     Certificate,
     CertificateError,
     batch,
     certify_slope,
-    parse_slope,
 )
 
 __version__ = "0.1.0"

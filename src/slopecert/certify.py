@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
@@ -56,12 +55,6 @@ DEFAULT_GAMMA_BUDGET = 16
 
 REASON_GENUS = "genus-positive-braid"
 REASON_DIRECT = "direct-gamma-non-unit"
-
-OUT_OF_RANGE_MESSAGE = (
-    "slope {p}/{q} is outside the working range: this construction needs p > 1; "
-    "slopes with |p| <= 1 are covered by other constructions and are not handled here"
-)
-
 
 class CertificateError(Exception):
     """An internal cross-check failed; no certificate is emitted."""
@@ -143,13 +136,6 @@ def certify_slope(
     and CertificateError if any internal identity fails. The direct route
     can also raise SquareSearchError or OracleBudgetError.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1 (normalize the sign into p)")
-    if gcd(p, q) != 1:
-        raise ValueError(f"{p}/{q} is not in lowest terms")
-    if p <= 1:
-        raise ValueError(OUT_OF_RANGE_MESSAGE.format(p=p, q=q))
-
     params = choose_params(p, q, s_start)
     A = params.matrix()
     dual = dual_gluing(A)
@@ -199,11 +185,12 @@ def certify_slope(
                 "fast engine disagrees with the skein oracle",
             )
 
-    kb = closed_form_kb(params)
-    kg = closed_form_kg(params)
-    _check(eval_tree(expand(kb_root(params), params)) == kb, "first tree != closed form")
-    _check(eval_tree(expand(kg_root(params), params)) == kg, "second tree != closed form")
-    diff = difference(params)
+    q, r, t = params.q, params.r, params.t
+    kb = closed_form_kb(q, r, t)
+    kg = closed_form_kg(q, r, t)
+    _check(eval_tree(expand(kb_root(q, t), q, r)) == kb, "first tree != closed form")
+    _check(eval_tree(expand(kg_root(q, t), q, r)) == kg, "second tree != closed form")
+    diff = difference(q, r, t)
     _check(kb - kg == diff, "difference identity fails")
     _check(kb.evaluate_alpha(-1) == {(0, 0): 1}, "kb normalization at a = -1 fails")
     _check(kg.evaluate_alpha(-1) == {(0, 0): 1}, "kg normalization at a = -1 fails")

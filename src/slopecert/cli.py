@@ -44,6 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log(args):
+    """stderr when stdout carries the certificate JSON alone, else stdout."""
+    return sys.stderr if getattr(args, "json", None) == "-" else sys.stdout
+
+
 def _certify_texts(texts, args):
     """Certify each slope text through ``batch``, mapping a negative slope
     to its mirror. Returns the report and, per entry, the slope it mirrors
@@ -58,7 +63,7 @@ def _certify_texts(texts, args):
             continue
         mirror_of = f"{p}/{q}" if p < 0 else None
         if mirror_of is not None:
-            print(f"certifying {-p}/{q}, the mirror of {mirror_of}")
+            print(f"certifying {-p}/{q}, the mirror of {mirror_of}", file=_log(args))
         items.append((abs(p), q))
         mirrors.append(mirror_of)
     report = batch(
@@ -86,7 +91,7 @@ def _cmd_certify(args) -> int:
     if not entry.ok:
         print(f"error: {entry.error}", file=sys.stderr)
         return 1
-    print(entry.certificate.summary())
+    print(entry.certificate.summary(), file=_log(args))
     if args.json:
         payload = _certificate_json(entry.certificate, mirror_of)
         if args.json == "-":
@@ -104,7 +109,7 @@ def _cmd_certify(args) -> int:
 def _cmd_batch(args) -> int:
     path = Path(args.slopes)
     try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        raw_lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.slopes}: {exc}", file=sys.stderr)
         return 1

@@ -81,21 +81,15 @@ class GammaResult:
 
 def _free_cyclic_reduce(letters: tuple) -> tuple:
     """Cancel adjacent inverse pairs, including across the wrap-around."""
-    word = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(word) - 1:
-            if word[i] == -word[i + 1]:
-                del word[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        if len(word) >= 2 and word[0] == -word[-1]:
-            word = word[1:-1]
-            changed = True
+    word = []
+    for x in letters:
+        if word and word[-1] == -x:
+            word.pop()
+        else:
+            word.append(x)
+    # the freely reduced word cancels cyclically only between its two ends
+    while len(word) >= 2 and word[0] == -word[-1]:
+        word = word[1:-1]
     return tuple(word)
 
 
@@ -114,9 +108,7 @@ def _first_bad_crossing(n: int, letters: tuple) -> Optional[int]:
     follows the closure. For a positive letter the strand entering on the
     left is the over-strand.
     """
-    L = len(letters)
-    first_visit = [None] * L  # (traversal order, is_over)
-    order = 0
+    visited = [False] * len(letters)
     started = set()
     for start in range(n):
         if start in started:
@@ -127,23 +119,20 @@ def _first_bad_crossing(n: int, letters: tuple) -> Optional[int]:
             for j, x in enumerate(letters):
                 g = abs(x)
                 if pos == g - 1:
-                    over = x > 0
-                    if first_visit[j] is None:
-                        first_visit[j] = (order, over)
-                        order += 1
+                    under = x < 0
                     pos = g
                 elif pos == g:
-                    over = x < 0
-                    if first_visit[j] is None:
-                        first_visit[j] = (order, over)
-                        order += 1
+                    under = x > 0
                     pos = g - 1
+                else:
+                    continue
+                if not visited[j]:
+                    if under:
+                        return j
+                    visited[j] = True
             if pos == start:
                 break
-    bad = [(o, j) for j, (o, over) in enumerate(first_visit) if not over]
-    if not bad:
-        return None
-    return min(bad)[1]
+    return None
 
 
 def _oracle(n: int, letters: tuple) -> BiLaurent:
@@ -210,6 +199,11 @@ def zeroth_gamma(h: HomflyResult) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _unlink_gamma(n: int) -> LaurentPoly:
+    g = ONE_PLUS_INV_ALPHA ** (n - 1)
+    return -g if (n - 1) % 2 else g
+
+
 def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
     """Zeroth coefficient polynomial of a link assembled from its
     components: (-1)^{n-1} (1+a^-1)^{n-1} (-a)^{lk} times the product of
@@ -221,10 +215,7 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
     if n == 1:
         # a knot has no pairwise linking; the argument is vacuous
         return gammas[0]
-    acc = ONE_PLUS_INV_ALPHA ** (n - 1)
-    if (n - 1) % 2:
-        acc = -acc
-    acc = acc * neg_alpha_pow(total_linking)
+    acc = _unlink_gamma(n) * neg_alpha_pow(total_linking)
     for g in gammas:
         acc = acc * g
     return acc
@@ -303,11 +294,6 @@ def _find_square(letters: tuple, n: int) -> Optional[tuple]:
                 if found is not None:
                     return found
     return None
-
-
-def _unlink_gamma(n: int) -> LaurentPoly:
-    g = ONE_PLUS_INV_ALPHA ** (n - 1)
-    return -g if (n - 1) % 2 else g
 
 
 def _split_word(n: int, letters: tuple, g: int, drop_single: bool):

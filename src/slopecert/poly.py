@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Optional, TypeVar
 
 _R = TypeVar("_R", bound="_Sparse")
 
@@ -190,16 +190,6 @@ class LaurentPoly(_Sparse):
         """Coefficients in ascending-exponent order."""
         return [c for _, c in self.items()]
 
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
-
     def is_unit(self) -> bool:
         """True iff the value is +-a^k, the only invertible elements here."""
         if len(self._terms) != 1:
@@ -231,8 +221,8 @@ class LaurentPoly(_Sparse):
         if self.is_zero():
             return LaurentPoly.zero()
         # Shift both operands into ordinary polynomials.
-        av, bv = self.min_exp(), other.min_exp()
-        da, db = self.max_exp() - av, other.max_exp() - bv
+        av, bv = min(self._terms), min(other._terms)
+        da, db = max(self._terms) - av, max(other._terms) - bv
         if db > da:
             raise ValueError("not divisible: divisor degree too large")
         A = [0] * (da + 1)
@@ -360,30 +350,11 @@ class SkeinElem(_Sparse):
     def coeff(self, h_deg: int, c_deg: int) -> LaurentPoly:
         return self._terms.get((h_deg, c_deg), LaurentPoly.zero())
 
-    def substitute(
-        self,
-        c_value: Optional[LaurentPoly] = None,
-        h_value: Optional[LaurentPoly] = None,
-    ) -> Union["SkeinElem", LaurentPoly]:
-        """Substitute Laurent values for C and/or H.
-
-        With both values given the result collapses to a LaurentPoly; with
-        one given the other indeterminate survives; with neither this is
-        the identity.
-        """
-        if c_value is None and h_value is None:
-            return self
-        if c_value is not None and h_value is not None:
-            total = LaurentPoly.zero()
-            for (h, c), poly in self._terms.items():
-                total = total + poly * h_value**h * c_value**c
-            return total
+    def substitute(self, c_value: LaurentPoly) -> "SkeinElem":
+        """Substitute a Laurent value for C; H stays an indeterminate."""
         acc = SkeinElem.zero()
         for (h, c), poly in self._terms.items():
-            if c_value is not None:
-                acc = acc + SkeinElem({(h, 0): poly * c_value**c})
-            else:
-                acc = acc + SkeinElem({(0, c): poly * h_value**h})
+            acc = acc + SkeinElem({(h, 0): poly * c_value**c})
         return acc
 
     def evaluate_alpha(self, x) -> dict:

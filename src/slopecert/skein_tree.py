@@ -20,12 +20,9 @@ factorized difference of the two polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple
 
 from .poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
-
-if TYPE_CHECKING:
-    from .surgery import SlopeParams
 
 _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
@@ -134,18 +131,18 @@ class SkeinTree:
     lk: Optional[int] = None
 
 
-def kb_root(params: "SlopeParams") -> PatternExpr:
+def kb_root(q: int, t: int) -> PatternExpr:
     """Root pattern of the first knot: single clasp outside, twisted double
     clasp inside, twist parameter q*t."""
-    return banded_iterated_double(1, 0, 2, params.q * params.t)
+    return banded_iterated_double(1, 0, 2, q * t)
 
 
-def kg_root(params: "SlopeParams") -> PatternExpr:
+def kg_root(q: int, t: int) -> PatternExpr:
     """Root pattern of the second knot: the clasp counts exchanged."""
-    return banded_iterated_double(2, 0, 1, params.q * params.t)
+    return banded_iterated_double(2, 0, 1, q * t)
 
 
-def expand_qrt(expr: PatternExpr, q: int, r: int) -> SkeinTree:
+def expand(expr: PatternExpr, q: int, r: int) -> SkeinTree:
     """Expand a pattern expression to a full tree; only the product q*r
     enters (through the linking number of the band knot with the cable)."""
     t, p = expr.tag, expr.params
@@ -153,39 +150,35 @@ def expand_qrt(expr: PatternExpr, q: int, r: int) -> SkeinTree:
         return SkeinTree(expr, "leaf")
     if t == "iterated_double":
         l, n, k, m = p
-        left = expand_qrt(banded_iterated_double(l - 1, n, k, m), q, r)
-        right = expand_qrt(banded_two_cable_double(n, k, m), q, r)
+        left = expand(banded_iterated_double(l - 1, n, k, m), q, r)
+        right = expand(banded_two_cable_double(n, k, m), q, r)
         return SkeinTree(expr, "skein", (left, right))
     if t == "double":
         k, m = p
-        left = expand_qrt(banded_double(k - 1, m), q, r)
-        right = expand_qrt(banded_two_cable(m), q, r)
+        left = expand(banded_double(k - 1, m), q, r)
+        right = expand(banded_two_cable(m), q, r)
         return SkeinTree(expr, "skein", (left, right))
     if t == "double_of_cable":
         k, m = p
-        left = expand_qrt(double_of_cable(k - 1, m), q, r)
-        right = expand_qrt(two_cable_of_cable(m), q, r)
+        left = expand(double_of_cable(k - 1, m), q, r)
+        right = expand(two_cable_of_cable(m), q, r)
         return SkeinTree(expr, "skein", (left, right))
     if t == "two_cable":
         (m,) = p
-        children = (expand_qrt(band_knot(), q, r), expand_qrt(cable_knot(), q, r))
+        children = (expand(band_knot(), q, r), expand(cable_knot(), q, r))
         return SkeinTree(expr, "linking", children, lk=q * r - m)
     if t == "two_cable_double":
         n, k, m = p
         children = (
-            expand_qrt(banded_double(k, m), q, r),
-            expand_qrt(double_of_cable(k, m), q, r),
+            expand(banded_double(k, m), q, r),
+            expand(double_of_cable(k, m), q, r),
         )
         return SkeinTree(expr, "linking", children, lk=-n)
     if t == "two_cable_of_cable":
         (m,) = p
-        children = (expand_qrt(cable_knot(), q, r), expand_qrt(cable_knot(), q, r))
+        children = (expand(cable_knot(), q, r), expand(cable_knot(), q, r))
         return SkeinTree(expr, "linking", children, lk=-m)
     raise ValueError(f"no rewrite rule for pattern tag {t!r}")
-
-
-def expand(expr: PatternExpr, params: "SlopeParams") -> SkeinTree:
-    return expand_qrt(expr, params.q, params.r)
 
 
 def eval_tree(tree: SkeinTree) -> SkeinElem:
@@ -206,13 +199,9 @@ def eval_tree(tree: SkeinTree) -> SkeinElem:
 
 def format_tree(tree: SkeinTree, indent: int = 0) -> str:
     """Indented diagnostic rendering with the linking numbers boxed."""
-    pad = "  " * indent
-    if tree.kind == "leaf":
-        return f"{pad}{tree.expr.label()}"
-    tagline = f"{pad}{tree.expr.label()}"
+    lines = ["  " * indent + tree.expr.label()]
     if tree.kind == "linking":
-        tagline += f"  --[lk={tree.lk}]--"
-    lines = [tagline]
+        lines[0] += f"  --[lk={tree.lk}]--"
     for child in tree.children:
         lines.append(format_tree(child, indent + 1))
     return "\n".join(lines)
@@ -226,7 +215,7 @@ def _cc(e2_weight: LaurentPoly) -> SkeinElem:
     return SkeinElem({(0, 2): e2_weight})
 
 
-def closed_form_kb_qrt(q: int, r: int, t: int) -> SkeinElem:
+def closed_form_kb(q: int, r: int, t: int) -> SkeinElem:
     """-a + (a+1) (a^2 - (a^2-1)(-a)^{q(r-t)} HC) (a^2 - (a^2-1)(-a)^{-qt} C^2)."""
     e1, e2 = q * (r - t), -q * t
     first = SkeinElem.scalar(_ALPHA_SQ) - _hc(_ALPHA_SQ_MINUS_1 * neg_alpha_pow(e1))
@@ -234,7 +223,7 @@ def closed_form_kb_qrt(q: int, r: int, t: int) -> SkeinElem:
     return SkeinElem.scalar(-ALPHA) + SkeinElem.scalar(_ALPHA_PLUS_1) * first * second
 
 
-def closed_form_kg_qrt(q: int, r: int, t: int) -> SkeinElem:
+def closed_form_kg(q: int, r: int, t: int) -> SkeinElem:
     """a^2 - (a^2-1) (a - (a+1)(-a)^{q(r-t)} HC) (a - (a+1)(-a)^{-qt} C^2)."""
     e1, e2 = q * (r - t), -q * t
     first = SkeinElem.scalar(ALPHA) - _hc(_ALPHA_PLUS_1 * neg_alpha_pow(e1))
@@ -242,7 +231,7 @@ def closed_form_kg_qrt(q: int, r: int, t: int) -> SkeinElem:
     return SkeinElem.scalar(_ALPHA_SQ) - SkeinElem.scalar(_ALPHA_SQ_MINUS_1) * first * second
 
 
-def difference_qrt(q: int, r: int, t: int) -> SkeinElem:
+def difference(q: int, r: int, t: int) -> SkeinElem:
     """The first closed form minus the second, in factored form:
     a (1+a)^2 (a^2-1) (1 - (-a)^{q(r-t)} HC) (1 - (-a)^{-qt} C^2).
 
@@ -256,13 +245,8 @@ def difference_qrt(q: int, r: int, t: int) -> SkeinElem:
     return SkeinElem.scalar(unit_part) * first * second
 
 
-def closed_form_kb(params: "SlopeParams") -> SkeinElem:
-    return closed_form_kb_qrt(params.q, params.r, params.t)
-
-
-def closed_form_kg(params: "SlopeParams") -> SkeinElem:
-    return closed_form_kg_qrt(params.q, params.r, params.t)
-
-
-def difference(params: "SlopeParams") -> SkeinElem:
-    return difference_qrt(params.q, params.r, params.t)
+# the same functions under the names the acceptance suite imports
+expand_qrt = expand
+closed_form_kb_qrt = closed_form_kb
+closed_form_kg_qrt = closed_form_kg
+difference_qrt = difference

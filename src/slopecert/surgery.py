@@ -15,6 +15,11 @@ from math import gcd
 
 from . import braid
 
+OUT_OF_RANGE_MESSAGE = (
+    "slope {p}/{q} is outside the working range: this construction needs p > 1; "
+    "slopes with |p| <= 1 are covered by other constructions and are not handled here"
+)
+
 
 @dataclass(frozen=True)
 class GluingMatrix:
@@ -123,10 +128,12 @@ def choose_params(p: int, q: int, s_start: int = 1) -> SlopeParams:
     below 1). Small solutions can close to the unknot, which would make the
     certificate vacuous, so the genus test is part of the selection.
     """
-    if p <= 1 or q < 1:
-        raise ValueError("working range is p > 1, q >= 1")
+    if q < 1:
+        raise ValueError("q must be at least 1 (normalize the sign into p)")
     if gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+        raise ValueError(f"{p}/{q} is not in lowest terms")
+    if p <= 1:
+        raise ValueError(OUT_OF_RANGE_MESSAGE.format(p=p, q=q))
     s = max(1, s_start)
     while True:
         if (p * s - 1) % q == 0:

@@ -183,6 +183,15 @@ class TestCli:
         assert json.loads(out.read_text())["mirror_of"] == "-2/1"
         assert "mirror" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("slope", ["--slope=2/1", "--slope=-2/1"])
+    def test_json_to_stdout_is_json_alone(self, slope, capsys):
+        assert main(["certify", slope, "--json", "-"]) == 0
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out)
+        assert obj["slope"] == {"p": 2, "q": 1}
+        assert "genus 1" in captured.err
+        assert ("mirror" in captured.err) == (obj["mirror_of"] is not None)
+
     def test_out_of_range_slope_fails(self, capsys):
         code = main(["certify", "--slope", "1/2"])
         assert code == 1
@@ -225,6 +234,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {slopes}")
         assert "Traceback" not in captured.err
+
+    def test_batch_slopes_file_may_start_with_a_bom(self, tmp_path, capsys):
+        slopes = tmp_path / "slopes.txt"
+        slopes.write_bytes(b"\xef\xbb\xbf2/1\n3/1\n")
+        assert main(["batch", "--slopes", str(slopes)]) == 0
+        assert "2/2 slopes certified" in capsys.readouterr().out
 
     def test_batch_keeps_a_slope_and_its_mirror_apart(self, tmp_path):
         slopes = tmp_path / "slopes.txt"

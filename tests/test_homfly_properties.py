@@ -1,6 +1,8 @@
 """Both Γ engines agree, and are unchanged by the moves that preserve a
 braid closure: rotation (conjugation), a far commutation and a braid
 relation. Checked by hypothesis on positive words within the oracle budget.
+The oracle's HOMFLYPT polynomial is also unchanged by Markov stabilisation,
+checked on signed words.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
@@ -70,3 +72,21 @@ def test_braid_relation(data):
     a = data.draw(st.integers(1, n - 2))
     b = a + 1
     assert_same_closure_gamma(n, prefix + (a, b, a) + suffix, prefix + (b, a, b) + suffix)
+
+
+def signed_words(n):
+    """Signed words of at most 9 letters on n strands."""
+    letters = [g for g in range(1 - n, n) if g]
+    return st.lists(st.sampled_from(letters), max_size=9).map(tuple) if letters else st.just(())
+
+
+@PROFILE
+@given(st.data())
+def test_stabilisation(data):
+    n = data.draw(st.integers(1, 4))
+    w = data.draw(signed_words(n))
+    x = data.draw(st.sampled_from((n, -n)))
+    clear_caches()
+    stabilised = homfly_oracle(BraidWord(n + 1, w + (x,))).poly
+    clear_caches()
+    assert stabilised == homfly_oracle(BraidWord(n, w)).poly

@@ -141,23 +141,15 @@ class TestBiLaurent:
 
 
 class TestSkeinElem:
-    def test_substitute_both(self):
-        hc = SkeinElem.indeterminate_h() * SkeinElem.indeterminate_c()
-        assert hc.substitute(c_value=ONE, h_value=ONE) == ONE
-
     def test_substitute_square_of_trefoil(self):
         c2 = SkeinElem.indeterminate_c() ** 2
         tre = LP({1: -2, 2: -1})
         assert c2.substitute(c_value=tre) == SkeinElem.scalar(LP({2: 4, 3: 4, 4: 1}))
 
-    def test_substitute_nothing_is_identity(self):
-        e = SkeinElem({(1, 2): ONE + A})
-        assert e.substitute() is e
-
     def test_substitute_partial_keeps_other(self):
         e = SkeinElem({(1, 1): ONE})
-        out = e.substitute(h_value=A)
-        assert out == SkeinElem({(0, 1): A})
+        out = e.substitute(c_value=A)
+        assert out == SkeinElem({(1, 0): A})
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

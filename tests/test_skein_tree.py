@@ -9,24 +9,20 @@ from slopecert.skein_tree import (
     banded_iterated_double,
     banded_two_cable,
     closed_form_kb,
-    closed_form_kb_qrt,
     closed_form_kg,
-    closed_form_kg_qrt,
     difference,
-    difference_qrt,
     double_of_cable,
     eval_tree,
     expand,
-    expand_qrt,
     format_tree,
     kb_root,
     kg_root,
     two_cable_of_cable,
     unknot,
 )
-from slopecert.surgery import SlopeParams
 
-P32 = SlopeParams(p=3, q=2, r=4, s=3, t=21)
+# (q, r, t) of the 3/2 certificate, SlopeParams(p=3, q=2, r=4, s=3, t=21)
+Q, R, T = 2, 4, 21
 
 H = SkeinElem.indeterminate_h()
 C = SkeinElem.indeterminate_c()
@@ -44,8 +40,8 @@ def boxed_linking_numbers(tree):
 
 class TestRoots:
     def test_twist_parameter_lands_on_the_inner_double(self):
-        assert kb_root(P32) == banded_iterated_double(1, 0, 2, 42)
-        assert kg_root(P32) == banded_iterated_double(2, 0, 1, 42)
+        assert kb_root(Q, T) == banded_iterated_double(1, 0, 2, 42)
+        assert kg_root(Q, T) == banded_iterated_double(2, 0, 1, 42)
 
     def test_zero_clasp_collapses_to_unknot(self):
         assert banded_iterated_double(0, 0, 2, 7) == unknot()
@@ -56,7 +52,7 @@ class TestRoots:
 class TestExpansion:
     def test_two_cable_linking_number(self):
         # with (q, r, t) = (2, 4, 21) the banded 2-cable links q*r - q*t = -34
-        tree = expand_qrt(banded_two_cable(42), 2, 4)
+        tree = expand(banded_two_cable(42), 2, 4)
         assert tree.kind == "linking"
         assert tree.lk == -34
         assert eval_tree(tree) == SkeinElem.scalar(
@@ -64,30 +60,30 @@ class TestExpansion:
         ) * H * C
 
     def test_single_clasp_double_of_cable(self):
-        tree = expand_qrt(double_of_cable(1, 5), 1, 1)
+        tree = expand(double_of_cable(1, 5), 1, 1)
         assert tree.kind == "skein"
         assert tree.children[0].expr == unknot()
         assert tree.children[1].expr == two_cable_of_cable(5)
 
     def test_kb_tree_boxed_labels(self):
-        tree = expand(kb_root(P32), P32)
+        tree = expand(kb_root(Q, T), Q, R)
         assert boxed_linking_numbers(tree) == [0, -34, -34, -42, -42]
 
     def test_kg_tree_boxed_labels(self):
-        tree = expand(kg_root(P32), P32)
+        tree = expand(kg_root(Q, T), Q, R)
         # the extra outer clasp duplicates the inner subtree labels
         assert boxed_linking_numbers(tree) == [0, -34, -42, 0, -34, -42]
 
     def test_unreachable_tag(self):
         with pytest.raises(ValueError):
-            expand_qrt(PatternExpr("mystery", (1,)), 1, 1)
+            expand(PatternExpr("mystery", (1,)), 1, 1)
 
 
 class TestEvaluation:
     def test_single_clasp_banded_double(self):
         # -a + (a+1) (-a)^{q r - m} H C
         for (q, r, m) in [(1, 1, 0), (2, 4, 42), (3, 2, -5)]:
-            got = eval_tree(expand_qrt(banded_double(1, m), q, r))
+            got = eval_tree(expand(banded_double(1, m), q, r))
             expected = (
                 SkeinElem.scalar(-ALPHA)
                 + SkeinElem.scalar(LaurentPoly({0: 1, 1: 1}) * neg_alpha_pow(q * r - m)) * H * C
@@ -95,18 +91,18 @@ class TestEvaluation:
             assert got == expected
 
     def test_zero_twist_two_cable_of_cable(self):
-        got = eval_tree(expand_qrt(two_cable_of_cable(0), 1, 1))
+        got = eval_tree(expand(two_cable_of_cable(0), 1, 1))
         assert got == SkeinElem.scalar(-ONE_PLUS_INV_ALPHA) * C * C
 
     def test_kb_tree_normalizes_at_minus_one(self):
-        tree = expand(kb_root(P32), P32)
+        tree = expand(kb_root(Q, T), Q, R)
         assert eval_tree(tree).evaluate_alpha(-1) == {(0, 0): 1}
 
 
 class TestClosedForms:
     def test_tree_equals_closed_form_for_production_params(self):
-        assert eval_tree(expand(kb_root(P32), P32)) == closed_form_kb(P32)
-        assert eval_tree(expand(kg_root(P32), P32)) == closed_form_kg(P32)
+        assert eval_tree(expand(kb_root(Q, T), Q, R)) == closed_form_kb(Q, R, T)
+        assert eval_tree(expand(kg_root(Q, T), Q, R)) == closed_form_kg(Q, R, T)
 
     def test_tree_equals_closed_form_randomized(self):
         rng = random.Random(77)
@@ -114,32 +110,32 @@ class TestClosedForms:
             q, r = rng.randint(-6, 6), rng.randint(-6, 6)
             t = rng.randint(-50, 50)
             m = q * t
-            kb = eval_tree(expand_qrt(banded_iterated_double(1, 0, 2, m), q, r))
-            kg = eval_tree(expand_qrt(banded_iterated_double(2, 0, 1, m), q, r))
-            assert kb == closed_form_kb_qrt(q, r, t)
-            assert kg == closed_form_kg_qrt(q, r, t)
-            assert kb - kg == difference_qrt(q, r, t)
+            kb = eval_tree(expand(banded_iterated_double(1, 0, 2, m), q, r))
+            kg = eval_tree(expand(banded_iterated_double(2, 0, 1, m), q, r))
+            assert kb == closed_form_kb(q, r, t)
+            assert kg == closed_form_kg(q, r, t)
+            assert kb - kg == difference(q, r, t)
 
     def test_difference_matches_closed_forms(self):
-        assert closed_form_kb(P32) - closed_form_kg(P32) == difference(P32)
+        assert closed_form_kb(Q, R, T) - closed_form_kg(Q, R, T) == difference(Q, R, T)
 
     def test_normalization_at_minus_one(self):
-        assert closed_form_kb(P32).evaluate_alpha(-1) == {(0, 0): 1}
-        assert closed_form_kg(P32).evaluate_alpha(-1) == {(0, 0): 1}
-        assert difference(P32).evaluate_alpha(-1) == {}
+        assert closed_form_kb(Q, R, T).evaluate_alpha(-1) == {(0, 0): 1}
+        assert closed_form_kg(Q, R, T).evaluate_alpha(-1) == {(0, 0): 1}
+        assert difference(Q, R, T).evaluate_alpha(-1) == {}
 
 
 class TestUnitObstruction:
     def test_unit_substitution_can_kill_a_factor(self):
         # with -q*t = -2, substituting the unit a for C zeroes 1 - (-a)^{-2} C^2
-        d = difference_qrt(1, 1, 2)
+        d = difference(1, 1, 2)
         collapsed = d.substitute(c_value=ALPHA)
         assert collapsed.is_zero()
 
     def test_non_unit_substitution_cannot(self):
         trefoil = LaurentPoly({1: -2, 2: -1})
         for t in (-3, 0, 2, 21):
-            d = difference_qrt(1, 1, t)
+            d = difference(1, 1, t)
             survived = d.substitute(c_value=trefoil)
             assert not survived.is_zero()
             # the C^2 factor itself stays nonzero for a non-unit value
@@ -149,7 +145,7 @@ class TestUnitObstruction:
 
 class TestPrettyPrinter:
     def test_labels(self):
-        text = format_tree(expand(kb_root(P32), P32))
+        text = format_tree(expand(kb_root(Q, T), Q, R))
         assert "[D^1 o D^2_{42}]" in text
         assert "[Cbar_{84,2}]" in text
         assert "lk=-42" in text
