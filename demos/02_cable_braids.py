@@ -9,8 +9,7 @@ keeps the first one whose cable is a genuinely knotted positive braid.
 from slopecert import bennequin_euler_char, cable_braid, choose_params, closure_components, closure_info
 
 for p, q in ((2, 1), (3, 1), (3, 2), (5, 2)):
-    params = choose_params(p, q)
-    w = cable_braid(params)
+    params, w = choose_params(p, q)
     info = closure_info(w)
     print(f"slope {p}/{q}: completion (r, s, t) = ({params.r}, {params.s}, {params.t})")
     print(f"  cable braid: {w}")

@@ -8,6 +8,7 @@ sign. Everything here is combinatorial bookkeeping on those words.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, TYPE_CHECKING
@@ -155,6 +156,9 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     if twists < 0:
         raise ValueError("negative twist count would break positivity")
     _check_torus(r, s)
+    length = q * q * (s - 1) * r + (q - 1) * twists
+    if length > sys.maxsize:
+        raise ValueError(f"cable word of {length} letters is too long to build")
     period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
     return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple, Union
 
+# cable_braid is unused here; perfbench/tracer.py wraps each layer by its name in this module
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
 from .homfly import (
     DEFAULT_ORACLE_BUDGET,
@@ -136,7 +137,7 @@ def certify_slope(
     and CertificateError if any internal identity fails. The direct route
     can also raise SquareSearchError or OracleBudgetError.
     """
-    params = choose_params(p, q, s_start)
+    params, w = choose_params(p, q, s_start)
     A = params.matrix()
     dual = dual_gluing(A)
     double_dual = double_dual_gluing(A)
@@ -160,7 +161,6 @@ def certify_slope(
     induced = induced_slopes(params)
     _check(induced[1] == Fraction(params.t, params.q), "middle induced slope is not t/q")
 
-    w = cable_braid(params)
     _check(closure_components(w) == 1, "cable closure is not a knot")
     chi = bennequin_euler_char(w)
     _check(chi < 1 and (1 - chi) % 2 == 0, "Euler characteristic bookkeeping broken")
@@ -250,6 +250,7 @@ class BatchEntry:
     slope: str
     certificate: Optional[Certificate] = None
     error: Optional[str] = None
+    mirror_of: Optional[str] = None  # the negative slope certified as its mirror
 
     @property
     def ok(self) -> bool:
@@ -284,26 +285,27 @@ def batch(
 ) -> BatchReport:
     """Certify each slope, collecting per-slope failures instead of raising.
 
-    A failure is a slope outside the working range, a failed internal check,
-    or the direct route's engine giving up on the cable.
+    A negative slope p/q is certified as its mirror -p/q, recorded in the
+    entry's ``mirror_of``. A failure is a slope that does not parse, one
+    outside the working range, a failed internal check, or the direct
+    route's engine giving up on the cable.
     """
     report = BatchReport()
     for item in slopes:
         if isinstance(item, str):
-            label = item.strip()
             try:
                 p, q = parse_slope(item)
             except ValueError as exc:
-                report.entries.append(BatchEntry(slope=label, error=str(exc)))
+                report.entries.append(BatchEntry(slope=item.strip(), error=str(exc)))
                 continue
         else:
             p, q = item
-            label = f"{p}/{q}"
+        entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)
         try:
-            cert = certify_slope(
-                p, q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle
+            entry.certificate = certify_slope(
+                abs(p), q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle
             )
-            report.entries.append(BatchEntry(slope=label, certificate=cert))
         except (ValueError, CertificateError, SquareSearchError, OracleBudgetError) as exc:
-            report.entries.append(BatchEntry(slope=label, error=str(exc)))
+            entry.error = str(exc)
+        report.entries.append(entry)
     return report

@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certify import DEFAULT_GAMMA_BUDGET, batch, parse_slope
+from .certify import DEFAULT_GAMMA_BUDGET, batch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,51 +49,39 @@ def _log(args):
     return sys.stderr if getattr(args, "json", None) == "-" else sys.stdout
 
 
-def _certify_texts(texts, args):
-    """Certify each slope text through ``batch``, mapping a negative slope
-    to its mirror. Returns the report and, per entry, the slope it mirrors
-    (or None)."""
-    items, mirrors = [], []
-    for text in texts:
-        try:
-            p, q = parse_slope(text)
-        except ValueError:
-            items.append(text)  # batch records the parse error
-            mirrors.append(None)
-            continue
-        mirror_of = f"{p}/{q}" if p < 0 else None
-        if mirror_of is not None:
-            print(f"certifying {-p}/{q}, the mirror of {mirror_of}", file=_log(args))
-        items.append((abs(p), q))
-        mirrors.append(mirror_of)
+def _certify(texts, args):
+    """Certify each slope text through ``batch``, first noting each
+    negative slope that is certified as its mirror."""
     report = batch(
-        items,
+        texts,
         s_start=args.s_start,
         gamma_budget=args.gamma_budget,
         verify_oracle=args.verify_oracle,
     )
-    return report, mirrors
+    for entry in report.entries:
+        if entry.mirror_of is not None:
+            print(f"certifying {entry.slope}, the mirror of {entry.mirror_of}", file=_log(args))
+    return report
 
 
-def _certificate_json(cert, mirror_of) -> str:
+def _certificate_json(entry) -> str:
     """The certificate JSON plus the negative slope it was mirrored from.
 
     ``mirror_of`` stays out of ``Certificate.to_obj``: a certificate is a
     function of its positive slope alone."""
-    obj = cert.to_obj()
-    obj["mirror_of"] = mirror_of
+    obj = entry.certificate.to_obj()
+    obj["mirror_of"] = entry.mirror_of
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_certify(args) -> int:
-    report, (mirror_of,) = _certify_texts([args.slope], args)
-    (entry,) = report.entries
+    (entry,) = _certify([args.slope], args).entries
     if not entry.ok:
         print(f"error: {entry.error}", file=sys.stderr)
         return 1
     print(entry.certificate.summary(), file=_log(args))
     if args.json:
-        payload = _certificate_json(entry.certificate, mirror_of)
+        payload = _certificate_json(entry)
         if args.json == "-":
             sys.stdout.write(payload)
         else:
@@ -118,18 +106,18 @@ def _cmd_batch(args) -> int:
         line = line.split("#", 1)[0].strip()
         if line:
             slopes.append(line)
-    report, mirrors = _certify_texts(slopes, args)
+    report = _certify(slopes, args)
     for line in report.summary_lines():
         print(line)
     if args.json_dir:
         out = Path(args.json_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            for entry, mirror_of in zip(report.entries, mirrors):
+            for entry in report.entries:
                 if entry.ok:
                     p, q = entry.certificate.slope
-                    suffix = "" if mirror_of is None else "_mirror"
-                    payload = _certificate_json(entry.certificate, mirror_of)
+                    suffix = "" if entry.mirror_of is None else "_mirror"
+                    payload = _certificate_json(entry)
                     (out / f"certificate_{p}_{q}{suffix}.json").write_text(payload)
         except OSError as exc:
             print(f"error: cannot write {args.json_dir}: {exc}", file=sys.stderr)

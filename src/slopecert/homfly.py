@@ -227,23 +227,11 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
 
 
 def split_factors(w: BraidWord) -> int:
-    """Number of split factors of the closure: connected components of the
-    graph on strand positions joined by the generators that occur."""
-    n = w.strands
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in w.letters:
-        g = abs(x)
-        a, b = find(g - 1), find(g)
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(n)})
+    """Number of split factors of the closure: components of the path on
+    strand positions whose edges are the generators that occur (g joins
+    positions g-1 and g, and no other generator does), so the strand count
+    minus the number of distinct generators."""
+    return w.strands - len({abs(x) for x in w.letters})
 
 
 def _sorting_word(pos: list) -> tuple:
@@ -296,17 +284,15 @@ def _find_square(letters: tuple, n: int) -> Optional[tuple]:
     return None
 
 
-def _split_word(n: int, letters: tuple, g: int, drop_single: bool):
-    """Cut the word at generator g into the sub-braids on strands 1..g and
-    g+1..n; with ``drop_single`` the one occurrence of g is removed."""
+def _split_word(n: int, letters: tuple, g: int):
+    """Cut the word at generator g, which occurs at most once, into the
+    sub-braids on strands 1..g and g+1..n, dropping g."""
     left = tuple(x for x in letters if x < g)
     right = tuple(x - g for x in letters if x > g)
-    if not drop_single and any(x == g for x in letters):
-        raise ValueError("generator unexpectedly present")
     return (g, left), (n - g, right)
 
 
-def _gamma_rec(n: int, letters: tuple, oracle_budget: int) -> LaurentPoly:
+def _gamma_rec(n: int, letters: tuple) -> LaurentPoly:
     key = (n, _min_rotation(letters))
     cached = _gamma_memo.get(key)
     if cached is not None:
@@ -325,18 +311,18 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int) -> LaurentPoly:
     for g in range(1, n):
         if counts[g] == 0:
             # split union across position g
-            (ln, lw), (rn, rw) = _split_word(n, letters, g, drop_single=False)
-            left = _gamma_rec(ln, lw, oracle_budget)
-            right = _gamma_rec(rn, rw, oracle_budget)
+            (ln, lw), (rn, rw) = _split_word(n, letters, g)
+            left = _gamma_rec(ln, lw)
+            right = _gamma_rec(rn, rw)
             result = -(ONE_PLUS_INV_ALPHA * left * right)
             break
     if result is None:
         for g in range(1, n):
             if counts[g] == 1:
                 # single crossing between the halves: connected sum
-                (ln, lw), (rn, rw) = _split_word(n, letters, g, drop_single=True)
-                left = _gamma_rec(ln, lw, oracle_budget)
-                right = _gamma_rec(rn, rw, oracle_budget)
+                (ln, lw), (rn, rw) = _split_word(n, letters, g)
+                left = _gamma_rec(ln, lw)
+                right = _gamma_rec(rn, rw)
                 result = left * right
                 break
 
@@ -349,29 +335,29 @@ def _gamma_rec(n: int, letters: tuple, oracle_budget: int) -> LaurentPoly:
             # merges two components otherwise.
             g, rest = found[0], found[2:]
             labels = closure_labels(n, rest)
-            g_minus = _gamma_rec(n, rest, oracle_budget)
+            g_minus = _gamma_rec(n, rest)
             if labels[g - 1] == labels[g]:
-                g_zero = _gamma_rec(n, found[1:], oracle_budget)
+                g_zero = _gamma_rec(n, found[1:])
                 result = -(ALPHA * (g_minus + g_zero))
             else:
                 result = -(ALPHA * g_minus)
 
     if result is None:
         # no square found; fall back to the oracle if affordable
-        if len(letters) <= oracle_budget:
-            result = zeroth_gamma(homfly_oracle(BraidWord(n, letters), oracle_budget))
+        if len(letters) <= DEFAULT_ORACLE_BUDGET:
+            result = zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
         else:
             raise SquareSearchError(
                 f"no square found for {BraidWord(n, letters)}: every rotation is a "
                 f"permutation braid, and the word exceeds the oracle budget "
-                f"({len(letters)} > {oracle_budget})"
+                f"({len(letters)} > {DEFAULT_ORACLE_BUDGET})"
             )
 
     _memo_put(_gamma_memo, key, result)
     return result
 
 
-def gamma_positive(w: BraidWord, oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> GammaResult:
+def gamma_positive(w: BraidWord) -> GammaResult:
     """Zeroth coefficient polynomial of a positive braid closure, with its
     normalized form.
 
@@ -382,7 +368,7 @@ def gamma_positive(w: BraidWord, oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> 
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    gamma = _gamma_rec(w.strands, w.letters, oracle_budget)
+    gamma = _gamma_rec(w.strands, w.letters)
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

@@ -119,8 +119,9 @@ def induced_slopes(params: SlopeParams):
     )
 
 
-def choose_params(p: int, q: int, s_start: int = 1) -> SlopeParams:
-    """Smallest completion of p/q whose companion cable knot is non-trivial.
+def choose_params(p: int, q: int, s_start: int = 1) -> tuple[SlopeParams, braid.BraidWord]:
+    """Smallest completion of p/q whose companion cable knot is non-trivial,
+    and the cable braid of that knot.
 
     Walks s upward from max(1, s_start) through the arithmetic progression
     solving p*s - q*r = 1 with integer r, and returns the first tuple whose
@@ -142,7 +143,7 @@ def choose_params(p: int, q: int, s_start: int = 1) -> SlopeParams:
             params = SlopeParams(p=p, q=q, r=r, s=s, t=t)
             w = braid.cable_braid(params)
             if braid.bennequin_euler_char(w) < 1:
-                return params
+                return params, w
             s += q  # later solutions differ by q
         else:
             s += 1

@@ -46,7 +46,8 @@ def random_valid_params(rng, max_p=7, max_q=5) -> SlopeParams:
         p = rng.randint(2, max_p)
         q = rng.randint(1, max_q)
         if gcd(p, q) == 1:
-            return choose_params(p, q, s_start=rng.randint(1, 3))
+            params, _ = choose_params(p, q, s_start=rng.randint(1, 3))
+            return params
 
 
 def random_word(rng, max_strands=4, max_letters=8, positive=False) -> BraidWord:

@@ -147,6 +147,21 @@ class TestBatch:
         assert report.all_ok
         assert [e.certificate.diff_nonzero_reason for e in report.entries] == [REASON_DIRECT] * 2
 
+    def test_negative_slope_is_certified_as_its_mirror(self):
+        report = batch(["-5/2", (-3, 1), "-1/2"])
+        first, second, third = report.entries
+        assert first.ok and second.ok
+        assert (first.mirror_of, second.mirror_of) == ("-5/2", "-3/1")
+        assert first.certificate.to_json() == certify_slope(5, 2).to_json()
+        assert second.certificate.to_json() == certify_slope(3, 1).to_json()
+        assert not third.ok
+        assert "outside the working range" in third.error
+
+    def test_slope_too_large_to_build_is_recorded(self):
+        report = batch(["99999999999999999999/7", "2/1"])
+        assert [e.ok for e in report.entries] == [False, True]
+        assert "too long to build" in report.entries[0].error
+
     def test_engine_errors_recorded_not_fatal(self, monkeypatch):
         real = slopecert.certify.gamma_positive
         errors = iter([SquareSearchError("no square found"), OracleBudgetError("word too long")])
@@ -191,6 +206,12 @@ class TestCli:
         assert obj["slope"] == {"p": 2, "q": 1}
         assert "genus 1" in captured.err
         assert ("mirror" in captured.err) == (obj["mirror_of"] is not None)
+
+    def test_slope_too_large_to_build_is_an_error_line(self, capsys):
+        assert main(["certify", "--slope=99999999999999999999/7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cable word of ")
+        assert err.rstrip().endswith("letters is too long to build")
 
     def test_out_of_range_slope_fails(self, capsys):
         code = main(["certify", "--slope", "1/2"])

@@ -269,6 +269,9 @@ class TestConversionCalibration:
         assert split_factors(BraidWord(4, ())) == 4
         assert split_factors(BraidWord(4, (1, 2, 3))) == 1
         assert split_factors(BraidWord(4, (1, 3))) == 2
+        assert split_factors(BraidWord(1, ())) == 1
+        assert split_factors(BraidWord(5, (2, -3, 2))) == 3
+        assert split_factors(BraidWord(3, (1, -1, 2))) == 1
 
 
 class TestRewrites:

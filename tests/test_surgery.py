@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_gluing_tuple, random_valid_params
 from slopecert.braid import cable_braid
+from slopecert.certify import certify_slope
 from slopecert.surgery import (
     GluingMatrix,
     SlopeParams,
@@ -102,11 +103,11 @@ class TestInducedSlopes:
 
 class TestChooseParams:
     def test_slope_2_1(self):
-        P = choose_params(2, 1, s_start=1)
+        P, _ = choose_params(2, 1, s_start=1)
         assert (P.r, P.s, P.t) == (3, 2, 4)
 
     def test_slope_3_2(self):
-        P = choose_params(3, 2, s_start=1)
+        P, _ = choose_params(3, 2, s_start=1)
         assert (P.r, P.s, P.t) == (4, 3, 21)
 
     def test_rejects_out_of_range(self):
@@ -129,10 +130,16 @@ class TestChooseParams:
             assert dual_gluing(P.matrix()).apply((1, 0)) == (-P.t, -P.q)
 
     def test_s_start_advances_the_progression(self):
-        base = choose_params(2, 1, s_start=1)
-        later = choose_params(2, 1, s_start=base.s + 1)
+        base, _ = choose_params(2, 1, s_start=1)
+        later, _ = choose_params(2, 1, s_start=base.s + 1)
         assert later.s > base.s
         assert (later.s - base.s) % base.q == 0
+
+    def test_returns_the_accepted_cable(self):
+        for p, q in ((2, 1), (3, 1), (5, 1), (3, 2), (5, 2)):
+            params, w = choose_params(p, q)
+            assert w == cable_braid(params)
+            assert certify_slope(p, q).braid == w
 
     def test_selected_cable_is_nontrivial(self):
         rng = random.Random(31)
