@@ -204,7 +204,7 @@ def certify_slope(
         _check(not diff.substitute(c_value=gamma_cr).is_zero(), "difference vanished")
 
     reason = REASON_DIRECT if gamma_cr is not None else REASON_GENUS
-    cert = Certificate(
+    return Certificate(
         params=params,
         induced=induced,
         dual_matrix=dual,
@@ -219,13 +219,6 @@ def certify_slope(
         diff=diff,
         diff_nonzero_reason=reason,
     )
-    # final certificate-level invariants
-    _check(cert.kb - cert.kg == cert.diff, "stored difference mismatch")
-    if cert.diff_nonzero_reason == REASON_GENUS:
-        _check(cert.genus >= 1, "genus route requires positive genus")
-    else:
-        _check(cert.gamma_cr_is_unit is False, "direct route requires a non-unit")
-    return cert
 
 
 def parse_slope(text: str) -> Tuple[int, int]:
@@ -235,14 +228,15 @@ def parse_slope(text: str) -> Tuple[int, int]:
         raise ValueError("empty slope")
     if "/" in text:
         num, _, den = text.partition("/")
-        p, q = int(num), int(den)
-    else:
-        p, q = int(text), 1
+        return _normalize_slope(int(num), int(den))
+    return int(text), 1
+
+
+def _normalize_slope(p: int, q: int) -> Tuple[int, int]:
+    """Move the sign of p/q into p; a zero denominator is an error."""
     if q == 0:
         raise ValueError("slope denominator is zero")
-    if q < 0:
-        p, q = -p, -q
-    return p, q
+    return (-p, -q) if q < 0 else (p, q)
 
 
 @dataclass
@@ -292,14 +286,12 @@ def batch(
     """
     report = BatchReport()
     for item in slopes:
-        if isinstance(item, str):
-            try:
-                p, q = parse_slope(item)
-            except ValueError as exc:
-                report.entries.append(BatchEntry(slope=item.strip(), error=str(exc)))
-                continue
-        else:
-            p, q = item
+        try:
+            p, q = parse_slope(item) if isinstance(item, str) else _normalize_slope(*item)
+        except ValueError as exc:
+            label = item.strip() if isinstance(item, str) else "{}/{}".format(*item)
+            report.entries.append(BatchEntry(slope=label, error=str(exc)))
+            continue
         entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)
         try:
             entry.certificate = certify_slope(

@@ -17,28 +17,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    one = sub.add_parser("certify", help="certify a single slope P/Q")
-    one.add_argument("--slope", required=True, help="slope as P/Q or a bare integer P")
-    one.add_argument("--s-start", type=int, default=1, help="lower bound for the s search")
-    one.add_argument(
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--s-start", type=int, default=1, help="lower bound for the s search")
+    shared.add_argument(
         "--gamma-budget",
         type=int,
         default=DEFAULT_GAMMA_BUDGET,
         metavar="CROSSINGS",
         help="run the direct polynomial route only up to this many crossings",
     )
-    one.add_argument("--json", metavar="PATH", help="write the certificate JSON here ('-' for stdout)")
-    one.add_argument(
+    shared.add_argument(
         "--verify-oracle",
         action="store_true",
         help="cross-check the fast engine against the exact skein oracle when affordable",
     )
 
-    many = sub.add_parser("batch", help="certify every slope listed in a file")
+    one = sub.add_parser("certify", parents=[shared], help="certify a single slope P/Q")
+    one.add_argument("--slope", required=True, help="slope as P/Q or a bare integer P")
+    one.add_argument("--json", metavar="PATH", help="write the certificate JSON here ('-' for stdout)")
+
+    many = sub.add_parser("batch", parents=[shared], help="certify every slope listed in a file")
     many.add_argument("--slopes", required=True, metavar="FILE", help="one P/Q per line, # comments")
-    many.add_argument("--s-start", type=int, default=1)
-    many.add_argument("--gamma-budget", type=int, default=DEFAULT_GAMMA_BUDGET, metavar="CROSSINGS")
-    many.add_argument("--verify-oracle", action="store_true")
     many.add_argument("--json-dir", metavar="DIR", help="write one certificate JSON per slope here")
 
     return parser

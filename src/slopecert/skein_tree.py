@@ -1,16 +1,22 @@
 """Symbolic skein/linking trees for the two banded satellite knots.
 
 The two knots sharing a surgery are band sums of iterated twisted Whitehead
-doubles applied to a reversed 2-cable of a companion knot. Their zeroth
+doubles applied to a reversed 2-cable of a companion knot. So every node of
+their trees is a stack of satellite layers, the double D^k_m and the
+2-cable Cbar_{2m,2}, on one base knot: the unknot, the companion cable knot
+(indeterminate C) or one band-sum knot (indeterminate H). Their zeroth
 coefficient polynomials can be computed without ever evaluating the hard
-ingredients: the recursion bottoms out in the unknot, the companion cable
-knot (indeterminate C), and one band-sum knot (indeterminate H).
+ingredients: the recursion peels the outer layer off until only a base is
+left.
 
-Internal tree nodes combine their children in one of two ways:
+Internal tree nodes combine their children in one of two ways, one per
+layer kind:
 
-- skein edges: -a * (child1 + child2), the two-term crossing relation;
-- linking edges: -(1 + a^-1) * (-a)^lk * (child1 * child2), the splitting
-  of a 2-component link into its factors, weighted by linking number lk.
+- skein edges (a double): -a * (child1 + child2), the two-term crossing
+  relation;
+- linking edges (a 2-cable): -(1 + a^-1) * (-a)^lk * (child1 * child2), the
+  splitting of a 2-component link into its factors, weighted by linking
+  number lk.
 
 This module builds the trees by rewriting, evaluates them exactly over
 Z[a^{+-1}][H, C], and cross-checks against closed-form products and the
@@ -28,99 +34,80 @@ _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _ALPHA_PLUS_1 = LaurentPoly({1: 1, 0: 1})
 
-# Leaf values and the skein-edge factor -a, shared by every tree: values
-# are immutable.
+# Leaf values by base knot and the skein-edge factor -a, shared by every
+# tree: values are immutable.
 _LEAVES = {
-    "unknot": SkeinElem.one(),
-    "cable": SkeinElem.indeterminate_c(),
-    "band": SkeinElem.indeterminate_h(),
+    "U": SkeinElem.one(),
+    "C": SkeinElem.indeterminate_c(),
+    "H": SkeinElem.indeterminate_h(),
 }
 _SKEIN_FACTOR = SkeinElem.scalar(-ALPHA)
 
 
+def _layer_label(layer: Tuple) -> str:
+    if layer[0] == "D":
+        _, k, m = layer
+        return f"D^{k}" if m == 0 else f"D^{k}_{{{m}}}"
+    return f"Cbar_{{{2 * layer[1]},2}}"
+
+
 @dataclass(frozen=True)
 class PatternExpr:
-    """A node label: a pattern (or banded pattern) applied to the companion.
+    """A node label: satellite layers applied to a base knot.
 
-    Tags and integer parameters:
-      unknot                          U
-      cable                           the companion cable knot C(R)
-      band                            the band-sum knot [H]
-      double (k, m)                   banded double [D^k_m]
-      iterated_double (l, n, k, m)    banded iterated double [D^l_n o D^k_m]
-      two_cable (m)                   banded reversed 2-cable [Cbar_{2m,2}]
-      two_cable_double (n, k, m)      banded [Cbar_{2n,2} o D^k_m]
-      double_of_cable (k, m)          plain satellite D^k_m(C(R))
-      two_cable_of_cable (m)          plain satellite Cbar_{2m,2}(C(R))
+    ``base`` is "U" (the unknot), "H" (the band-sum knot [H], banded) or
+    "C" (the companion cable knot C(R)). ``layers`` lists the satellite
+    operations, outermost first: ("D", k, m) is the k-clasp double D^k_m
+    with m twists, and ("Cbar", m) the reversed 2-cable Cbar_{2m,2}.
     """
 
-    tag: str
-    params: Tuple[int, ...] = ()
+    base: str
+    layers: Tuple[Tuple, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.base not in _LEAVES:
+            raise ValueError(f"unknown base knot {self.base!r}")
+        for layer in self.layers:
+            if layer[0] not in ("D", "Cbar"):
+                raise ValueError(f"unknown satellite layer {layer!r}")
 
     def label(self) -> str:
-        t, p = self.tag, self.params
-        if t == "unknot":
-            return "U"
-        if t == "cable":
-            return "C(R)"
-        if t == "band":
-            return "[H]"
-        if t == "double":
-            return f"[{_d_label(*p)}]"
-        if t == "iterated_double":
-            l, n, k, m = p
-            return f"[{_d_label(l, n)} o {_d_label(k, m)}]"
-        if t == "two_cable":
-            return f"[Cbar_{{{2 * p[0]},2}}]"
-        if t == "two_cable_double":
-            n, k, m = p
-            return f"[Cbar_{{{2 * n},2}} o {_d_label(k, m)}]"
-        if t == "double_of_cable":
-            return f"{_d_label(*p)}(C(R))"
-        if t == "two_cable_of_cable":
-            return f"Cbar_{{{2 * p[0]},2}}(C(R))"
-        raise ValueError(f"unknown pattern tag {t!r}")
+        if not self.layers:
+            return {"U": "U", "H": "[H]", "C": "C(R)"}[self.base]
+        stack = " o ".join(_layer_label(layer) for layer in self.layers)
+        return f"[{stack}]" if self.base == "H" else f"{stack}(C(R))"
 
 
-def _d_label(k: int, m: int) -> str:
-    return f"D^{k}" if m == 0 else f"D^{k}_{{{m}}}"
+def _pattern(base: str, *layers: Tuple) -> PatternExpr:
+    """The layers, outermost first, on ``base``; a zero-clasp outer double
+    unknots the whole pattern."""
+    if layers and layers[0][0] == "D" and layers[0][1] == 0:
+        return unknot()
+    return PatternExpr(base, layers)
 
 
 def unknot() -> PatternExpr:
-    return PatternExpr("unknot")
-
-
-def cable_knot() -> PatternExpr:
-    return PatternExpr("cable")
-
-
-def band_knot() -> PatternExpr:
-    return PatternExpr("band")
+    return PatternExpr("U")
 
 
 def banded_double(k: int, m: int) -> PatternExpr:
-    return unknot() if k == 0 else PatternExpr("double", (k, m))
+    return _pattern("H", ("D", k, m))
 
 
 def banded_iterated_double(l: int, n: int, k: int, m: int) -> PatternExpr:
-    # a zero-clasp outer double unknots the whole banded pattern
-    return unknot() if l == 0 else PatternExpr("iterated_double", (l, n, k, m))
+    return _pattern("H", ("D", l, n), ("D", k, m))
 
 
 def banded_two_cable(m: int) -> PatternExpr:
-    return PatternExpr("two_cable", (m,))
-
-
-def banded_two_cable_double(n: int, k: int, m: int) -> PatternExpr:
-    return PatternExpr("two_cable_double", (n, k, m))
+    return _pattern("H", ("Cbar", m))
 
 
 def double_of_cable(k: int, m: int) -> PatternExpr:
-    return unknot() if k == 0 else PatternExpr("double_of_cable", (k, m))
+    return _pattern("C", ("D", k, m))
 
 
 def two_cable_of_cable(m: int) -> PatternExpr:
-    return PatternExpr("two_cable_of_cable", (m,))
+    return _pattern("C", ("Cbar", m))
 
 
 @dataclass(frozen=True)
@@ -143,51 +130,31 @@ def kg_root(q: int, t: int) -> PatternExpr:
 
 
 def expand(expr: PatternExpr, q: int, r: int) -> SkeinTree:
-    """Expand a pattern expression to a full tree; only the product q*r
-    enters (through the linking number of the band knot with the cable)."""
-    t, p = expr.tag, expr.params
-    if t in ("unknot", "cable", "band"):
+    """Expand a pattern expression to a full tree, one rule per layer kind;
+    only the product q*r enters (through the linking number of the band
+    knot with the cable)."""
+    if not expr.layers:
         return SkeinTree(expr, "leaf")
-    if t == "iterated_double":
-        l, n, k, m = p
-        left = expand(banded_iterated_double(l - 1, n, k, m), q, r)
-        right = expand(banded_two_cable_double(n, k, m), q, r)
+    base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
+    if outer[0] == "D":
+        # D^k_m o X: change a clasp crossing (D^{k-1}_m o X) or smooth it
+        # (Cbar_{2m,2} o X), on the same base
+        _, k, m = outer
+        left = expand(_pattern(base, ("D", k - 1, m), *inner), q, r)
+        right = expand(_pattern(base, ("Cbar", m), *inner), q, r)
         return SkeinTree(expr, "skein", (left, right))
-    if t == "double":
-        k, m = p
-        left = expand(banded_double(k - 1, m), q, r)
-        right = expand(banded_two_cable(m), q, r)
-        return SkeinTree(expr, "skein", (left, right))
-    if t == "double_of_cable":
-        k, m = p
-        left = expand(double_of_cable(k - 1, m), q, r)
-        right = expand(two_cable_of_cable(m), q, r)
-        return SkeinTree(expr, "skein", (left, right))
-    if t == "two_cable":
-        (m,) = p
-        children = (expand(band_knot(), q, r), expand(cable_knot(), q, r))
-        return SkeinTree(expr, "linking", children, lk=q * r - m)
-    if t == "two_cable_double":
-        n, k, m = p
-        children = (
-            expand(banded_double(k, m), q, r),
-            expand(double_of_cable(k, m), q, r),
-        )
-        return SkeinTree(expr, "linking", children, lk=-n)
-    if t == "two_cable_of_cable":
-        (m,) = p
-        children = (expand(cable_knot(), q, r), expand(cable_knot(), q, r))
-        return SkeinTree(expr, "linking", children, lk=-m)
-    raise ValueError(f"no rewrite rule for pattern tag {t!r}")
+    # Cbar_{2m,2} o X splits into X on the base and X on the cable; only
+    # the band knot itself links the cable, as a double has winding number 0
+    m = outer[1]
+    lk = q * r - m if base == "H" and not inner else -m
+    children = (expand(_pattern(base, *inner), q, r), expand(_pattern("C", *inner), q, r))
+    return SkeinTree(expr, "linking", children, lk=lk)
 
 
 def eval_tree(tree: SkeinTree) -> SkeinElem:
     """Bottom-up exact evaluation in Z[a^{+-1}][H, C]."""
     if tree.kind == "leaf":
-        t = tree.expr.tag
-        if t in _LEAVES:
-            return _LEAVES[t]
-        raise ValueError(f"pattern {t!r} is not a leaf")
+        return _LEAVES[tree.expr.base]
     values = [eval_tree(child) for child in tree.children]
     if tree.kind == "skein":
         return _SKEIN_FACTOR * (values[0] + values[1])

@@ -142,6 +142,12 @@ class TestBatch:
         report = batch([(2, 1)])
         assert report.all_ok
 
+    def test_tuple_slopes_normalise_like_text(self):
+        def fields(report):
+            return [(e.slope, e.mirror_of, e.ok, e.error) for e in report.entries]
+
+        assert fields(batch([(5, -2), (-5, -2), (3, 0)])) == fields(batch(["5/-2", "-5/-2", "3/0"]))
+
     def test_direct_route_batch(self):
         report = batch(["3/2", "5/2"], gamma_budget=40)
         assert report.all_ok
@@ -212,6 +218,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cable word of ")
         assert err.rstrip().endswith("letters is too long to build")
+
+    def test_batch_help_describes_the_shared_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "run the direct polynomial route only up to this many crossings" in out
 
     def test_out_of_range_slope_fails(self, capsys):
         code = main(["certify", "--slope", "1/2"])

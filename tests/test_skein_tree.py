@@ -28,6 +28,82 @@ H = SkeinElem.indeterminate_h()
 C = SkeinElem.indeterminate_c()
 
 
+# format_tree text of the two roots of the 3/2 certificate, and of a
+# zero-clasp inner double under a 2-cable: any change to how patterns are
+# represented must leave every tree, label and linking number as it is
+GOLDEN_TREES = [
+    (
+        kb_root(Q, T),
+        Q,
+        R,
+        """\
+[D^1 o D^2_{42}]
+  U
+  [Cbar_{0,2} o D^2_{42}]  --[lk=0]--
+    [D^2_{42}]
+      [D^1_{42}]
+        U
+        [Cbar_{84,2}]  --[lk=-34]--
+          [H]
+          C(R)
+      [Cbar_{84,2}]  --[lk=-34]--
+        [H]
+        C(R)
+    D^2_{42}(C(R))
+      D^1_{42}(C(R))
+        U
+        Cbar_{84,2}(C(R))  --[lk=-42]--
+          C(R)
+          C(R)
+      Cbar_{84,2}(C(R))  --[lk=-42]--
+        C(R)
+        C(R)""",
+    ),
+    (
+        kg_root(Q, T),
+        Q,
+        R,
+        """\
+[D^2 o D^1_{42}]
+  [D^1 o D^1_{42}]
+    U
+    [Cbar_{0,2} o D^1_{42}]  --[lk=0]--
+      [D^1_{42}]
+        U
+        [Cbar_{84,2}]  --[lk=-34]--
+          [H]
+          C(R)
+      D^1_{42}(C(R))
+        U
+        Cbar_{84,2}(C(R))  --[lk=-42]--
+          C(R)
+          C(R)
+  [Cbar_{0,2} o D^1_{42}]  --[lk=0]--
+    [D^1_{42}]
+      U
+      [Cbar_{84,2}]  --[lk=-34]--
+        [H]
+        C(R)
+    D^1_{42}(C(R))
+      U
+      Cbar_{84,2}(C(R))  --[lk=-42]--
+        C(R)
+        C(R)""",
+    ),
+    (
+        banded_iterated_double(1, 3, 0, 5),
+        1,
+        1,
+        """\
+[D^1_{3} o D^0_{5}]
+  U
+  [Cbar_{6,2} o D^0_{5}]  --[lk=-3]--
+    U
+    U""",
+    ),
+]
+
+
 def boxed_linking_numbers(tree):
     """Linking labels in depth-first order."""
     out = []
@@ -77,6 +153,8 @@ class TestExpansion:
     def test_unreachable_tag(self):
         with pytest.raises(ValueError):
             expand(PatternExpr("mystery", (1,)), 1, 1)
+        with pytest.raises(ValueError):
+            expand(PatternExpr("H", (("E", 1),)), 1, 1)
 
 
 class TestEvaluation:
@@ -154,3 +232,7 @@ class TestPrettyPrinter:
     def test_omits_zero_twist_subscript(self):
         assert banded_double(2, 0).label() == "[D^2]"
         assert banded_double(2, 7).label() == "[D^2_{7}]"
+
+    @pytest.mark.parametrize("root, q, r, text", GOLDEN_TREES, ids=["kb", "kg", "zero-clasp-inner"])
+    def test_full_text_is_golden(self, root, q, r, text):
+        assert format_tree(expand(root, q, r)) == text
