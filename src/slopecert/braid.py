@@ -159,8 +159,13 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     length = q * q * (s - 1) * r + (q - 1) * twists
     if length > sys.maxsize:
         raise ValueError(f"cable word of {length} letters is too long to build")
-    period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
-    return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)
+    try:
+        period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
+        return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)
+    except MemoryError:
+        raise ValueError(
+            f"cable_braid: out of memory building a cable word of {length} letters"
+        ) from None
 
 
 def cable_braid(params: "SlopeParams") -> BraidWord:

@@ -94,9 +94,15 @@ def _free_cyclic_reduce(letters: tuple) -> tuple:
 
 
 def _min_rotation(letters: tuple) -> tuple:
-    if not letters:
+    """The least rotation of ``letters``: only a rotation that starts at a
+    least letter can be it, so only those are compared, as slices of the
+    doubled word."""
+    least = min(letters, default=None)
+    if least is None or least == max(letters):
         return letters
-    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+    L = len(letters)
+    doubled = letters + letters
+    return min(doubled[i : i + L] for i, x in enumerate(letters) if x == least)
 
 
 def _first_bad_crossing(n: int, letters: tuple) -> Optional[int]:
@@ -267,14 +273,16 @@ def _square_at_recrossing(n: int, word: tuple) -> Optional[tuple]:
 def _find_square(letters: tuple, n: int) -> Optional[tuple]:
     """A positive word of the same length and closure as ``letters`` that
     starts with a square (g, g), or None."""
-    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
-    for word in rotations:
+    def rotations():
+        return (letters[i:] + letters[:i] for i in range(len(letters)))
+
+    for word in rotations():
         found = _square_at_recrossing(n, word)
         if found is not None:
             return found
     # every rotation is a permutation braid: write each as Q g through each
     # right descent g, and try the conjugate g Q
-    for word in rotations:
+    for word in rotations():
         for g in range(1, n):
             descent = _square_at_recrossing(n, word + (g,))
             if descent is not None:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import slopecert.braid
 import slopecert.certify
 from slopecert.braid import BraidWord
 from slopecert.certify import (
@@ -14,6 +15,16 @@ from slopecert.certify import (
 from slopecert.cli import main
 from slopecert.homfly import OracleBudgetError, SquareSearchError
 from slopecert.poly import LaurentPoly
+
+
+@pytest.fixture
+def cable_out_of_memory(monkeypatch):
+    """Building any cable with s >= 2 raises MemoryError, without allocating."""
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(slopecert.braid, "_bundle_swap", no_memory)
 
 
 class TestCertifySlope:
@@ -35,6 +46,12 @@ class TestCertifySlope:
         assert cert.diff_nonzero_reason == REASON_GENUS
         assert cert.gamma_cr is None
         assert cert.to_obj()["gamma_cr_is_unit"] == "not-computed"
+
+    def test_long_two_strand_cable_takes_the_direct_route(self):
+        # a budget of 800 crossings covers every 2-strand cable with p < 400
+        cert = certify_slope(399, 1, gamma_budget=800)
+        assert (cert.braid.strands, len(cert.braid.letters)) == (2, 797)
+        assert cert.diff_nonzero_reason == REASON_DIRECT
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="other constructions"):
@@ -168,6 +185,12 @@ class TestBatch:
         assert [e.ok for e in report.entries] == [False, True]
         assert "too long to build" in report.entries[0].error
 
+    def test_out_of_memory_building_the_cable_is_recorded(self, cable_out_of_memory):
+        report = batch(["3/2"])
+        assert report.summary_lines()[0] == (
+            "FAIL slope 3/2: cable_braid: out of memory building a cable word of 37 letters"
+        )
+
     def test_engine_errors_recorded_not_fatal(self, monkeypatch):
         real = slopecert.certify.gamma_positive
         errors = iter([SquareSearchError("no square found"), OracleBudgetError("word too long")])
@@ -218,6 +241,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cable word of ")
         assert err.rstrip().endswith("letters is too long to build")
+
+    def test_out_of_memory_is_an_error_line(self, cable_out_of_memory, capsys):
+        assert main(["certify", "--slope", "3/2", "--s-start", "1000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.rstrip() == (
+            "error: cable_braid: out of memory building a cable word of 6000006000001 letters"
+        )
 
     def test_batch_help_describes_the_shared_options(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -20,6 +20,7 @@ from slopecert.homfly import (
     zeroth_gamma,
 )
 from slopecert.poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA
+from slopecert.surgery import choose_params
 
 UNKNOT = BraidWord(1, ())
 HOPF = BraidWord(2, (1, 1))
@@ -298,13 +299,15 @@ class TestRewrites:
         if len(letters) <= DEFAULT_ORACLE_BUDGET:
             assert oracle_gamma(BraidWord(n, found)) == oracle_gamma(BraidWord(n, letters))
 
-    def test_find_square_conjugates_to_a_square(self):
-        # the words _gamma_rec passes on: each generator occurs at least twice
+    @staticmethod
+    def square_search_words():
+        """(n, letters) for the words _gamma_rec passes on: each generator
+        occurs at least twice."""
         for n in (2, 3, 4):
             for length in range(2 * (n - 1), 9):
                 for letters in itertools.product(range(1, n), repeat=length):
                     if all(letters.count(g) >= 2 for g in range(1, n)):
-                        self.check_square(n, letters)
+                        yield n, letters
         rng = random.Random(3)
         for _ in range(300):
             n = rng.randint(5, 6)
@@ -312,19 +315,47 @@ class TestRewrites:
             while not all(letters.count(g) >= 2 for g in range(1, n)):
                 length = rng.randint(2 * (n - 1), n * (n - 1) // 2)
                 letters = tuple(rng.randint(1, n - 1) for _ in range(length))
+            yield n, letters
+
+    # every rotation of these words is a permutation braid, so only the
+    # descent step finds a square
+    DESCENT_ONLY = (
+        BraidWord(5, (1, 2, 4, 1, 3, 2, 4, 3)),
+        BraidWord.parse("8: 2 1 3 2 1 4 3 2 5 4 3 7 6 5 4 7 6 5 1"),
+    )
+
+    def test_find_square_conjugates_to_a_square(self):
+        for n, letters in self.square_search_words():
             self.check_square(n, letters)
 
     def test_find_square_through_a_right_descent(self):
-        # every rotation of these words is a permutation braid, so only the
-        # descent step finds a square
-        for w in (
-            BraidWord(5, (1, 2, 4, 1, 3, 2, 4, 3)),
-            BraidWord.parse("8: 2 1 3 2 1 4 3 2 5 4 3 7 6 5 4 7 6 5 1"),
-        ):
+        for w in self.DESCENT_ONLY:
             L = len(w.letters)
             rotations = [w.letters[i:] + w.letters[:i] for i in range(L)]
             assert all(_square_at_recrossing(w.strands, r) is None for r in rotations)
             self.check_square(w.strands, w.letters)
+
+    @staticmethod
+    def eager_find_square(letters, n):
+        """_find_square with every rotation built before the first is tried."""
+        rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+        for word in rotations:
+            found = _square_at_recrossing(n, word)
+            if found is not None:
+                return found
+        for word in rotations:
+            for g in range(1, n):
+                descent = _square_at_recrossing(n, word + (g,))
+                if descent is not None:
+                    found = _square_at_recrossing(n, (g,) + descent[2:])
+                    if found is not None:
+                        return found
+        return None
+
+    def test_find_square_returns_the_eager_search_word(self):
+        words = [*self.square_search_words(), *((w.strands, w.letters) for w in self.DESCENT_ONLY)]
+        for n, letters in words:
+            assert _find_square(letters, n) == self.eager_find_square(letters, n)
 
 
 class TestCableClosuresEmpirically:
@@ -355,6 +386,18 @@ class TestCableClosuresEmpirically:
         assert len(gammas) == 1
         fast = gamma_positive(BraidWord(4, base + (1,))).gamma
         assert gammas == {fast}
+
+
+class TestWorkIsPinned:
+    """The memo key is a function of the word's rotation class alone, so a
+    cold evaluation of a benchmark cable fills the memo to a fixed size."""
+
+    @pytest.mark.parametrize("slope, entries", [((8, 3), 6916), ((5, 3), 1023)])
+    def test_cold_gamma_memo_size(self, slope, entries):
+        _, w = choose_params(*slope)
+        clear_caches()
+        gamma_positive(w)
+        assert len(homfly._gamma_memo) == entries
 
 
 class TestMemoCap:

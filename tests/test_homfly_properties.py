@@ -6,14 +6,21 @@ checked on signed words.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
-Runs are derandomized, so every failure reproduces.
+That key is checked against every rotation of the word. Runs are
+derandomized, so every failure reproduces.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecert.braid import BraidWord
-from slopecert.homfly import clear_caches, gamma_positive, homfly_oracle, zeroth_gamma
+from slopecert.homfly import (
+    _min_rotation,
+    clear_caches,
+    gamma_positive,
+    homfly_oracle,
+    zeroth_gamma,
+)
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -90,3 +97,29 @@ def test_stabilisation(data):
     stabilised = homfly_oracle(BraidWord(n + 1, w + (x,))).poly
     clear_caches()
     assert stabilised == homfly_oracle(BraidWord(n, w)).poly
+
+
+
+def assert_least_rotation(w):
+    assert _min_rotation(w) == min((w[i:] + w[:i] for i in range(len(w))), default=())
+
+
+@PROFILE
+@given(st.data())
+def test_min_rotation_of_signed_words(data):
+    # signed words are what the oracle keys on; on 2 strands ties abound
+    assert_least_rotation(data.draw(signed_words(data.draw(st.integers(2, 5)))))
+
+
+@PROFILE
+@given(st.data(), st.integers(1, 5))
+def test_min_rotation_of_periodic_words(data, k):
+    u = data.draw(signed_words(data.draw(st.integers(2, 4))))
+    assert_least_rotation(u * k)
+
+
+@PROFILE
+@given(st.sampled_from((-3, -1, 1, 2)), st.integers(0, 30))
+def test_min_rotation_of_constant_words(x, k):
+    # k = 0 is the empty word
+    assert_least_rotation((x,) * k)
