@@ -172,19 +172,12 @@ def cable_braid(params: "SlopeParams") -> BraidWord:
     """Positive braid whose closure is the companion cable knot of the
     parameter tuple: the (t, q)-cable of the (r, s) torus knot.
 
-    Rejects parameter tuples whose net twist count (p-1)*s - 1 is negative,
-    since those cannot be drawn with positive letters this way.
+    ``SlopeParams`` guarantees what this needs: p > 1 and s >= 1 make the
+    twist count (p-1)*s - 1 nonnegative, and ps - qr = 1 makes it equal to
+    t - q*r*(s-1) and makes gcd(r, s) = gcd(t, q) = 1, so the closure is a
+    knot (``certify_slope`` checks that on the cable it accepts).
     """
-    p, q, r, s, t = params.p, params.q, params.r, params.s, params.t
-    net = (p - 1) * s - 1
-    if net < 0:
-        raise ValueError("net twist count is negative; need p >= 2")
-    if t - q * r * (s - 1) != net:
-        raise ValueError("inconsistent parameter tuple: twist identity fails")
-    w = cable_word(q, r, s, net)
-    if closure_components(w) != 1:
-        raise ValueError("cable closure is not a knot; parameters invalid")
-    return w
+    return cable_word(params.q, params.r, params.s, (params.p - 1) * params.s - 1)
 
 
 def bennequin_euler_char(w: BraidWord) -> int:

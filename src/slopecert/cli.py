@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .certify import DEFAULT_GAMMA_BUDGET, batch
+from .certify import DEFAULT_GAMMA_BUDGET, _json_text, batch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +69,7 @@ def _certificate_json(entry) -> str:
     function of its positive slope alone."""
     obj = entry.certificate.to_obj()
     obj["mirror_of"] = entry.mirror_of
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json_text(obj)
 
 
 def _cmd_certify(args) -> int:

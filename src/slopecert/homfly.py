@@ -376,7 +376,14 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    gamma = _gamma_rec(w.strands, w.letters)
+    try:
+        gamma = _gamma_rec(w.strands, w.letters)
+    except RecursionError:
+        # the memos hold only finished results, so nothing is left half-built
+        raise ValueError(
+            f"gamma_positive: recursion too deep on a word of {len(w.letters)} letters "
+            f"on {w.strands} strands"
+        ) from None
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

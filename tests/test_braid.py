@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,9 @@ from slopecert.braid import (
     total_linking,
 )
 from slopecert.surgery import SlopeParams
+
+# hypothesis runs are derandomized
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 class TestBraidWord:
@@ -122,6 +126,17 @@ class TestTorusBraid:
             torus_braid(2, 0)
 
 
+@st.composite
+def slope_params(draw):
+    """A valid tuple with 2 <= p <= 9, q <= 4 and s among the first three
+    solutions of p*s - q*r = 1, so cables stay under 3,300 letters."""
+    q = draw(st.integers(1, 4))
+    p = draw(st.integers(2, 9).filter(lambda p: gcd(p, q) == 1))
+    s = (pow(p, -1, q) or q) + draw(st.integers(0, 2)) * q
+    r = (p * s - 1) // q
+    return SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
+
+
 class TestCableBraid:
     def test_q1_returns_base_torus_braid(self):
         P = SlopeParams(p=2, q=1, r=3, s=2, t=4)
@@ -153,6 +168,20 @@ class TestCableBraid:
         for _ in range(25):
             P = random_valid_params(rng)
             assert P.t - P.q * P.r * (P.s - 1) == (P.p - 1) * P.s - 1
+
+    @PROFILE
+    @given(slope_params())
+    def test_parameters_alone_make_a_positive_knot_cable(self, P):
+        # what cable_braid relies on SlopeParams for, and certify_slope's
+        # Euler characteristic check, also on tuples the selector skips
+        twists = (P.p - 1) * P.s - 1
+        assert twists >= 0
+        assert P.t - P.q * P.r * (P.s - 1) == twists
+        w = cable_braid(P)
+        assert w == cable_word(P.q, P.r, P.s, twists)
+        assert closure_components(w) == 1
+        chi = bennequin_euler_char(w)
+        assert chi >= 1 or (1 - chi) % 2 == 0
 
     def test_rejects_negative_net_twists(self):
         with pytest.raises(ValueError):
@@ -201,9 +230,7 @@ class TestLinking:
 
 
 # closure_labels, by hypothesis against references that track pos[strand]
-# instead of the strand at each position. Runs are derandomized.
-
-PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# instead of the strand at each position.
 
 
 @st.composite

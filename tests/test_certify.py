@@ -1,13 +1,16 @@
 import json
+import sys
 
 import pytest
 
 import slopecert.braid
 import slopecert.certify
+import slopecert.homfly
 from slopecert.braid import BraidWord
 from slopecert.certify import (
     REASON_DIRECT,
     REASON_GENUS,
+    CertificateError,
     batch,
     certify_slope,
     parse_slope,
@@ -25,6 +28,23 @@ def cable_out_of_memory(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(slopecert.braid, "_bundle_swap", no_memory)
+
+
+@pytest.fixture
+def kg_closed_form_off(monkeypatch):
+    """closed_form_kg returns a changed value, so the second tree check fails."""
+    real = slopecert.certify.closed_form_kg
+    monkeypatch.setattr(slopecert.certify, "closed_form_kg", lambda q, r, t: real(q, r, t) + 1)
+
+
+@pytest.fixture
+def too_deep_slope():
+    """A slope p/1 whose 2-strand cable, sigma_1^(2p-1), takes the fast
+    engine about p levels deep from empty memos: past the recursion limit
+    on any Python. Returns the slope and a budget that admits its cable."""
+    slopecert.homfly.clear_caches()
+    p = sys.getrecursionlimit() + 100
+    return f"{p}/1", 2 * p
 
 
 class TestCertifySlope:
@@ -52,6 +72,10 @@ class TestCertifySlope:
         cert = certify_slope(399, 1, gamma_budget=800)
         assert (cert.braid.strands, len(cert.braid.letters)) == (2, 797)
         assert cert.diff_nonzero_reason == REASON_DIRECT
+
+    def test_a_failed_check_raises(self, kg_closed_form_off):
+        with pytest.raises(CertificateError, match="^second tree != closed form$"):
+            certify_slope(2, 1)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="other constructions"):
@@ -191,6 +215,17 @@ class TestBatch:
             "FAIL slope 3/2: cable_braid: out of memory building a cable word of 37 letters"
         )
 
+    def test_a_failed_check_is_recorded(self, kg_closed_form_off):
+        report = batch(["2/1"])
+        assert report.summary_lines()[0] == "FAIL slope 2/1: second tree != closed form"
+
+    def test_recursion_too_deep_is_recorded(self, too_deep_slope):
+        slope, budget = too_deep_slope
+        (entry,) = batch([slope], gamma_budget=budget).entries
+        assert not entry.ok
+        assert entry.error.startswith("gamma_positive: recursion too deep")
+        assert "on 2 strands" in entry.error
+
     def test_engine_errors_recorded_not_fatal(self, monkeypatch):
         real = slopecert.certify.gamma_positive
         errors = iter([SquareSearchError("no square found"), OracleBudgetError("word too long")])
@@ -248,6 +283,17 @@ class TestCli:
         assert err.rstrip() == (
             "error: cable_braid: out of memory building a cable word of 6000006000001 letters"
         )
+
+    def test_a_failed_check_is_an_error_line(self, kg_closed_form_off, capsys):
+        assert main(["certify", "--slope", "2/1"]) == 1
+        assert capsys.readouterr().err == "error: second tree != closed form\n"
+
+    def test_recursion_too_deep_is_an_error_line(self, too_deep_slope, capsys):
+        slope, budget = too_deep_slope
+        assert main(["certify", "--slope", slope, "--gamma-budget", str(budget)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma_positive: recursion too deep on a word of ")
+        assert "Traceback" not in err
 
     def test_batch_help_describes_the_shared_options(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

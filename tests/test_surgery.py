@@ -73,6 +73,8 @@ class TestSlopeParams:
             SlopeParams(p=3, q=2, r=1, s=2, t=2)  # determinant fails
         with pytest.raises(ValueError):
             SlopeParams(p=4, q=2, r=1, s=1, t=1)  # not coprime
+        with pytest.raises(ValueError, match="^need s >= 1$"):
+            SlopeParams(p=3, q=2, r=-2, s=-1, t=-3)  # p*s - q*r = 1 but s < 1
 
     def test_matrix_columns(self):
         P = SlopeParams(p=3, q=2, r=4, s=3, t=21)
