@@ -15,7 +15,9 @@ before the first letter g whose two strands have already crossed is a
 permutation braid with right descent g, so it equals Q g for a reduced
 word Q read off its permutation (Garside; El-Rifai and Morton). The skein
 triple at the square is of positive braid links and drops the letter count
-on both branches.
+on both branches. Each rule is a step of the generator ``_gamma_node``; one
+loop, ``_gamma_rec``, runs the steps from a list of suspended nodes and alone
+reads and writes the memo, so Python's stack does not bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -300,69 +302,70 @@ def _split_word(n: int, letters: tuple, g: int):
     return (g, left), (n - g, right)
 
 
-def _gamma_rec(n: int, letters: tuple) -> LaurentPoly:
-    key = (n, _min_rotation(letters))
-    cached = _gamma_memo.get(key)
-    if cached is not None:
-        return cached
-
+def _gamma_node(n: int, letters: tuple):
+    """The rules for one word: yield each sub-word (n, letters) needed, be
+    sent its polynomial, and return this word's polynomial."""
     if not letters:
-        result = _unlink_gamma(n)
-        _memo_put(_gamma_memo, key, result)
-        return result
+        return _unlink_gamma(n)
 
-    counts = [0] * n
+    counts = [0] * (n - 1)
     for x in letters:
-        counts[x] += 1
+        counts[x - 1] += 1
 
-    result = None
-    for g in range(1, n):
-        if counts[g] == 0:
-            # split union across position g
-            (ln, lw), (rn, rw) = _split_word(n, letters, g)
-            left = _gamma_rec(ln, lw)
-            right = _gamma_rec(rn, rw)
-            result = -(ONE_PLUS_INV_ALPHA * left * right)
-            break
-    if result is None:
-        for g in range(1, n):
-            if counts[g] == 1:
-                # single crossing between the halves: connected sum
-                (ln, lw), (rn, rw) = _split_word(n, letters, g)
-                left = _gamma_rec(ln, lw)
-                right = _gamma_rec(rn, rw)
-                result = left * right
+    for want in (0, 1):
+        if want in counts:
+            # split union before connected sum, each at the first such g
+            (ln, lw), (rn, rw) = _split_word(n, letters, counts.index(want) + 1)
+            left = yield ln, lw
+            right = yield rn, rw
+            return -(ONE_PLUS_INV_ALPHA * left * right) if want == 0 else left * right
+
+    found = _find_square(letters, n)
+    if found is not None:
+        # found = (g, g) + rest; skein triple of positive words. The
+        # smoothing (g,) + rest splits a component of rest's closure iff
+        # its strands at positions g-1 and g lie on one component, and
+        # merges two components otherwise.
+        g, rest = found[0], found[2:]
+        labels = closure_labels(n, rest)
+        g_minus = yield n, rest
+        if labels[g - 1] == labels[g]:
+            g_zero = yield n, found[1:]
+            return -(ALPHA * (g_minus + g_zero))
+        return -(ALPHA * g_minus)
+
+    # no square found; fall back to the oracle if affordable
+    if len(letters) <= DEFAULT_ORACLE_BUDGET:
+        return zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
+    raise SquareSearchError(
+        f"no square found for {BraidWord(n, letters)}: every rotation is a "
+        f"permutation braid, and the word exceeds the oracle budget "
+        f"({len(letters)} > {DEFAULT_ORACLE_BUDGET})"
+    )
+
+
+def _gamma_rec(n: int, letters: tuple) -> LaurentPoly:
+    """Run ``_gamma_node`` steps: only a memo miss starts a node, and a
+    finished node's value is stored and sent to its parent."""
+    pending = []  # (suspended node, its memo key), innermost last
+    request = (n, letters)
+    while True:
+        key = (request[0], _min_rotation(request[1]))
+        value = _gamma_memo.get(key)
+        if value is None:
+            pending.append((_gamma_node(*request), key))
+        # None starts a node; run nodes until one asks for a sub-word
+        while pending:
+            node, key = pending[-1]
+            try:
+                request = node.send(value)
                 break
-
-    if result is None:
-        found = _find_square(letters, n)
-        if found is not None:
-            # found = (g, g) + rest; skein triple of positive words. The
-            # smoothing (g,) + rest splits a component of rest's closure iff
-            # its strands at positions g-1 and g lie on one component, and
-            # merges two components otherwise.
-            g, rest = found[0], found[2:]
-            labels = closure_labels(n, rest)
-            g_minus = _gamma_rec(n, rest)
-            if labels[g - 1] == labels[g]:
-                g_zero = _gamma_rec(n, found[1:])
-                result = -(ALPHA * (g_minus + g_zero))
-            else:
-                result = -(ALPHA * g_minus)
-
-    if result is None:
-        # no square found; fall back to the oracle if affordable
-        if len(letters) <= DEFAULT_ORACLE_BUDGET:
-            result = zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
-        else:
-            raise SquareSearchError(
-                f"no square found for {BraidWord(n, letters)}: every rotation is a "
-                f"permutation braid, and the word exceeds the oracle budget "
-                f"({len(letters)} > {DEFAULT_ORACLE_BUDGET})"
-            )
-
-    _memo_put(_gamma_memo, key, result)
-    return result
+            except StopIteration as done:
+                value = done.value
+                _memo_put(_gamma_memo, key, value)
+                pending.pop()
+        else:  # the outermost request is answered
+            return value
 
 
 def gamma_positive(w: BraidWord) -> GammaResult:
@@ -372,18 +375,13 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     The normalized polynomial divides out (a+1)^{s-1} (-a)^{(2-chi-|L|)/2},
     where s counts split factors and chi comes from the fiber-surface count
     strands - letters; the division must be exact, and for positive braid
-    closures the result has nonnegative coefficients.
+    closures the result has nonnegative coefficients. ``_gamma_rec`` takes
+    words of any length; only the caller's crossing budget bounds the work,
+    which grows fast with the strand count.
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    try:
-        gamma = _gamma_rec(w.strands, w.letters)
-    except RecursionError:
-        # the memos hold only finished results, so nothing is left half-built
-        raise ValueError(
-            f"gamma_positive: recursion too deep on a word of {len(w.letters)} letters "
-            f"on {w.strands} strands"
-        ) from None
+    gamma = _gamma_rec(w.strands, w.letters)
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from slopecert.certify import (
 from slopecert.cli import main
 from slopecert.homfly import OracleBudgetError, SquareSearchError
 from slopecert.poly import LaurentPoly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -219,12 +224,20 @@ class TestBatch:
         report = batch(["2/1"])
         assert report.summary_lines()[0] == "FAIL slope 2/1: second tree != closed form"
 
-    def test_recursion_too_deep_is_recorded(self, too_deep_slope):
+    def test_a_cable_deeper_than_the_recursion_limit_passes(self, too_deep_slope):
         slope, budget = too_deep_slope
         (entry,) = batch([slope], gamma_budget=budget).entries
-        assert not entry.ok
-        assert entry.error.startswith("gamma_positive: recursion too deep")
-        assert "on 2 strands" in entry.error
+        assert entry.ok
+        assert entry.certificate.braid.strands == 2
+        assert entry.certificate.diff_nonzero_reason == REASON_DIRECT
+
+    def test_verdict_does_not_depend_on_slope_order(self):
+        slopecert.homfly.clear_caches()
+        (alone,) = batch(["1100/1"], gamma_budget=2200).entries
+        slopecert.homfly.clear_caches()
+        _, after = batch(["700/1", "1100/1"], gamma_budget=2200).entries
+        assert alone.ok and after.ok
+        assert alone.certificate.to_json() == after.certificate.to_json()
 
     def test_engine_errors_recorded_not_fatal(self, monkeypatch):
         real = slopecert.certify.gamma_positive
@@ -288,12 +301,16 @@ class TestCli:
         assert main(["certify", "--slope", "2/1"]) == 1
         assert capsys.readouterr().err == "error: second tree != closed form\n"
 
-    def test_recursion_too_deep_is_an_error_line(self, too_deep_slope, capsys):
+    def test_a_cable_deeper_than_the_recursion_limit_exits_0(self, too_deep_slope):
         slope, budget = too_deep_slope
-        assert main(["certify", "--slope", slope, "--gamma-budget", str(budget)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: gamma_positive: recursion too deep on a word of ")
-        assert "Traceback" not in err
+        done = subprocess.run(
+            [sys.executable, "-m", "slopecert", "certify", "--slope", slope,
+             "--gamma-budget", str(budget)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert "reason: direct-gamma-non-unit" in done.stdout
+        assert "Traceback" not in done.stderr
 
     def test_batch_help_describes_the_shared_options(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -301,8 +301,8 @@ class TestRewrites:
 
     @staticmethod
     def square_search_words():
-        """(n, letters) for the words _gamma_rec passes on: each generator
-        occurs at least twice."""
+        """(n, letters) for the words _gamma_node searches for a square:
+        each generator occurs at least twice."""
         for n in (2, 3, 4):
             for length in range(2 * (n - 1), 9):
                 for letters in itertools.product(range(1, n), repeat=length):

@@ -4,23 +4,37 @@ relation. Checked by hypothesis on positive words within the oracle budget.
 The oracle's HOMFLYPT polynomial is also unchanged by Markov stabilisation,
 checked on signed words.
 
+The fast engine's driver is checked against the recursive evaluator it
+replaced, kept here as a reference: both must give the same polynomial and
+fill the memo with the same entries in the same order.
+
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
 That key is checked against every rotation of the word. Runs are
 derandomized, so every failure reproduces.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopecert.braid import BraidWord
+from slopecert import homfly
+from slopecert.braid import BraidWord, closure_labels
 from slopecert.homfly import (
+    DEFAULT_ORACLE_BUDGET,
+    SquareSearchError,
+    _find_square,
+    _memo_put,
     _min_rotation,
+    _split_word,
+    _unlink_gamma,
     clear_caches,
     gamma_positive,
     homfly_oracle,
     zeroth_gamma,
 )
+from slopecert.poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA
+from slopecert.surgery import choose_params
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -123,3 +137,90 @@ def test_min_rotation_of_periodic_words(data, k):
 def test_min_rotation_of_constant_words(x, k):
     # k = 0 is the empty word
     assert_least_rotation((x,) * k)
+
+
+def reference_gamma_rec(n, letters):
+    """The recursive evaluator that the driver loop replaced: the same
+    rules, memo reads and memo writes, on the call stack."""
+    key = (n, _min_rotation(letters))
+    cached = homfly._gamma_memo.get(key)
+    if cached is not None:
+        return cached
+
+    if not letters:
+        result = _unlink_gamma(n)
+        _memo_put(homfly._gamma_memo, key, result)
+        return result
+
+    counts = [0] * n
+    for x in letters:
+        counts[x] += 1
+
+    result = None
+    for g in range(1, n):
+        if counts[g] == 0:
+            (ln, lw), (rn, rw) = _split_word(n, letters, g)
+            left = reference_gamma_rec(ln, lw)
+            right = reference_gamma_rec(rn, rw)
+            result = -(ONE_PLUS_INV_ALPHA * left * right)
+            break
+    if result is None:
+        for g in range(1, n):
+            if counts[g] == 1:
+                (ln, lw), (rn, rw) = _split_word(n, letters, g)
+                left = reference_gamma_rec(ln, lw)
+                right = reference_gamma_rec(rn, rw)
+                result = left * right
+                break
+
+    if result is None:
+        found = _find_square(letters, n)
+        if found is not None:
+            g, rest = found[0], found[2:]
+            labels = closure_labels(n, rest)
+            g_minus = reference_gamma_rec(n, rest)
+            if labels[g - 1] == labels[g]:
+                g_zero = reference_gamma_rec(n, found[1:])
+                result = -(ALPHA * (g_minus + g_zero))
+            else:
+                result = -(ALPHA * g_minus)
+
+    if result is None:
+        if len(letters) <= DEFAULT_ORACLE_BUDGET:
+            result = zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
+        else:
+            raise SquareSearchError(f"no square found for {BraidWord(n, letters)}")
+
+    _memo_put(homfly._gamma_memo, key, result)
+    return result
+
+
+def assert_driver_matches_reference(w):
+    clear_caches()
+    expected = reference_gamma_rec(w.strands, w.letters)
+    expected_memo = list(homfly._gamma_memo.items())
+    clear_caches()
+    assert gamma_positive(w).gamma == expected
+    assert list(homfly._gamma_memo.items()) == expected_memo
+
+
+@PROFILE
+@given(st.data())
+def test_driver_matches_the_recursive_reference(data):
+    n = data.draw(st.integers(2, 5))
+    assert_driver_matches_reference(BraidWord(n, data.draw(letters_on(n, 14))))
+
+
+@pytest.mark.parametrize("slope", [(8, 3), (5, 3)])
+def test_driver_matches_the_recursive_reference_on_cables(slope):
+    _, w = choose_params(*slope)
+    assert_driver_matches_reference(w)
+
+
+@pytest.mark.parametrize("k", list(range(9)) + [699, 1099])
+def test_odd_power_of_sigma_1(k):
+    # sigma_1^(2k+1) closes to T(2, 2k+1); from cold memos the engine peels
+    # one square per level, about k levels deep
+    clear_caches()
+    result = gamma_positive(BraidWord(2, (1,) * (2 * k + 1)))
+    assert result.gamma_normalized == LaurentPoly({0: k + 1, 1: k})
