@@ -28,7 +28,6 @@ from .braid import (
 )
 from .homfly import (
     OracleBudgetError,
-    SquareSearchError,
     gamma_linking_formula,
     gamma_positive,
     homfly_oracle,

@@ -7,7 +7,8 @@ symbolic polynomials differ. Two independent justifications exist:
 
 - genus route (always on): the cable closes to a knot of positive genus,
   and a non-trivial positive braid knot never has a unit zeroth coefficient
-  polynomial (trusted theorem, checked empirically in the test suite);
+  polynomial (an unproved assumption, checked empirically in the test
+  suite);
 - direct route (budget-gated): actually compute the cable polynomial and
   test unit-ness, which large cables make too expensive.
 
@@ -24,14 +25,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 # cable_braid is unused here; perfbench/tracer.py wraps each layer by its name in this module
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
-from .homfly import (
-    DEFAULT_ORACLE_BUDGET,
-    OracleBudgetError,
-    SquareSearchError,
-    gamma_positive,
-    homfly_oracle,
-    zeroth_gamma,
-)
+from .homfly import DEFAULT_ORACLE_BUDGET, gamma_positive, homfly_oracle, zeroth_gamma
 from .poly import LaurentPoly, SkeinElem, neg_alpha_pow
 from .skein_tree import (
     closed_form_kb,
@@ -139,8 +133,7 @@ def certify_slope(
     """Build and internally verify the certificate for the slope p/q.
 
     Raises ValueError outside the working range (p > 1, q >= 1, coprime)
-    and CertificateError if any internal identity fails. The direct route
-    can also raise SquareSearchError or OracleBudgetError.
+    and CertificateError if any internal identity fails.
     """
     params, w = choose_params(p, q, s_start)
     A = params.matrix()
@@ -278,8 +271,8 @@ def batch(
 
     A negative slope p/q is certified as its mirror -p/q, recorded in the
     entry's ``mirror_of``. A failure is a slope that does not parse, one
-    outside the working range, a failed internal check, or the direct
-    route's engine giving up on the cable.
+    outside the working range, a cable too large to build, or a failed
+    internal check.
     """
     report = BatchReport()
     for item in slopes:
@@ -294,7 +287,7 @@ def batch(
             entry.certificate = certify_slope(
                 abs(p), q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle
             )
-        except (ValueError, CertificateError, SquareSearchError, OracleBudgetError) as exc:
+        except (ValueError, CertificateError) as exc:
             entry.error = str(exc)
         report.entries.append(entry)
     return report

@@ -13,9 +13,12 @@ factors and connected summands off the word, and otherwise conjugating it
 to a word that starts with a square: in a rotation of the word, the prefix
 before the first letter g whose two strands have already crossed is a
 permutation braid with right descent g, so it equals Q g for a reduced
-word Q read off its permutation (Garside; El-Rifai and Morton). The skein
-triple at the square is of positive braid links and drops the letter count
-on both branches. Each rule is a step of the generator ``_gamma_node``; one
+word Q read off its permutation (Garside; El-Rifai and Morton). When every
+rotation is a permutation braid, a walk over descent conjugates reaches a
+word with a rotation that is not (Geck and Pfeiffer), so the square search
+always ends and the engine never calls the oracle. The skein triple at the
+square is of positive braid links and drops the letter count on both
+branches. Each rule is a step of the generator ``_gamma_node``; one
 loop, ``_gamma_rec``, runs the steps from a list of suspended nodes and alone
 reads and writes the memo, so Python's stack does not bound the depth.
 
@@ -45,11 +48,6 @@ _gamma_memo: dict = {}
 
 class OracleBudgetError(Exception):
     """The skein oracle was asked for more crossings than its budget."""
-
-
-class SquareSearchError(Exception):
-    """Every rotation of a word is a permutation braid, so no square was
-    found, and the word is too long for the oracle fallback."""
 
 
 def clear_caches() -> None:
@@ -272,26 +270,50 @@ def _square_at_recrossing(n: int, word: tuple) -> Optional[tuple]:
     return None
 
 
-def _find_square(letters: tuple, n: int) -> Optional[tuple]:
-    """A positive word of the same length and closure as ``letters`` that
-    starts with a square (g, g), or None."""
-    def rotations():
-        return (letters[i:] + letters[:i] for i in range(len(letters)))
+def _descent_conjugates(n: int, word: tuple, left: bool):
+    """g Q for each right descent g of the permutation braid ``word`` = Q g;
+    with ``left``, Q' g for each left descent g of ``word`` = g Q', by the
+    same move on the reversed word, reversed back."""
+    w = word[::-1] if left else word
+    for g in range(1, n):
+        descent = _square_at_recrossing(n, w + (g,))
+        if descent is not None:
+            conjugate = (g,) + descent[2:]
+            yield conjugate[::-1] if left else conjugate
 
-    for word in rotations():
-        found = _square_at_recrossing(n, word)
-        if found is not None:
-            return found
-    # every rotation is a permutation braid: write each as Q g through each
-    # right descent g, and try the conjugate g Q
-    for word in rotations():
-        for g in range(1, n):
-            descent = _square_at_recrossing(n, word + (g,))
-            if descent is not None:
-                found = _square_at_recrossing(n, (g,) + descent[2:])
-                if found is not None:
-                    return found
-    return None
+
+def _find_square(letters: tuple, n: int) -> tuple:
+    """A positive word of the same length and closure as ``letters`` that
+    starts with a square (g, g): the first rotation with a recrossing, of
+    ``letters`` and then of each word a breadth-first walk over descent
+    conjugates reaches. Raises ValueError if the walk ends without one.
+
+    It cannot when each generator occurs at least twice, as in every word
+    ``_gamma_node`` searches. Suppose no word reached has a rotation with a
+    recrossing; each is then a reduced word, and its moves depend only on
+    its permutation.
+    - The permutation w of ``letters`` has length 2(n-1) or more, above
+      n - c, the least length in its conjugacy class (c cycles).
+    - By Geck and Pfeiffer (Adv. Math. 102, 1993, Thm 1.1), conjugations
+      by simple reflections s, none raising the length, lead w to the least
+      length; so one drops it. Before the first drop each step that moves
+      the permutation keeps its length, so s is a left or a right descent
+      (else s w s is w or two longer), and the walk takes that step.
+    - At the first drop, from w', s is a right descent of w' and a left
+      descent of w' s, so the move g = s gives s Q with Q a reduced word
+      of w' s: a word with a recrossing, against the supposition."""
+    walk, seen = [letters], {letters}
+    for word in walk:  # breadth first: the walk grows while it is read
+        for i in range(len(word)):
+            found = _square_at_recrossing(n, word[i:] + word[:i])
+            if found is not None:
+                return found
+        for left in (False, True):
+            for conjugate in _descent_conjugates(n, word, left):
+                if conjugate not in seen:
+                    seen.add(conjugate)
+                    walk.append(conjugate)
+    raise ValueError(f"no square for {BraidWord(n, letters)}: a generator occurs less than twice")
 
 
 def _split_word(n: int, letters: tuple, g: int):
@@ -321,27 +343,17 @@ def _gamma_node(n: int, letters: tuple):
             return -(ONE_PLUS_INV_ALPHA * left * right) if want == 0 else left * right
 
     found = _find_square(letters, n)
-    if found is not None:
-        # found = (g, g) + rest; skein triple of positive words. The
-        # smoothing (g,) + rest splits a component of rest's closure iff
-        # its strands at positions g-1 and g lie on one component, and
-        # merges two components otherwise.
-        g, rest = found[0], found[2:]
-        labels = closure_labels(n, rest)
-        g_minus = yield n, rest
-        if labels[g - 1] == labels[g]:
-            g_zero = yield n, found[1:]
-            return -(ALPHA * (g_minus + g_zero))
-        return -(ALPHA * g_minus)
-
-    # no square found; fall back to the oracle if affordable
-    if len(letters) <= DEFAULT_ORACLE_BUDGET:
-        return zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
-    raise SquareSearchError(
-        f"no square found for {BraidWord(n, letters)}: every rotation is a "
-        f"permutation braid, and the word exceeds the oracle budget "
-        f"({len(letters)} > {DEFAULT_ORACLE_BUDGET})"
-    )
+    # found = (g, g) + rest; skein triple of positive words. The smoothing
+    # (g,) + rest splits a component of rest's closure iff its strands at
+    # positions g-1 and g lie on one component, and merges two components
+    # otherwise.
+    g, rest = found[0], found[2:]
+    labels = closure_labels(n, rest)
+    g_minus = yield n, rest
+    if labels[g - 1] == labels[g]:
+        g_zero = yield n, found[1:]
+        return -(ALPHA * (g_minus + g_zero))
+    return -(ALPHA * g_minus)
 
 
 def _gamma_rec(n: int, letters: tuple) -> LaurentPoly:

@@ -33,6 +33,7 @@ from .poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_p
 _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _ALPHA_PLUS_1 = LaurentPoly({1: 1, 0: 1})
+_DIFFERENCE_UNIT = ALPHA * _ALPHA_PLUS_1 * _ALPHA_PLUS_1 * _ALPHA_SQ_MINUS_1  # a(1+a)^2(a^2-1)
 
 # Leaf values by base knot and the skein-edge factor -a, shared by every
 # tree: values are immutable.
@@ -174,28 +175,22 @@ def format_tree(tree: SkeinTree, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _hc(e1_weight: LaurentPoly) -> SkeinElem:
-    return SkeinElem({(1, 1): e1_weight})
-
-
-def _cc(e2_weight: LaurentPoly) -> SkeinElem:
-    return SkeinElem({(0, 2): e2_weight})
+def _factored(c0, c1, u, v, q: int, r: int, t: int) -> SkeinElem:
+    """c0 + c1 (u - v (-a)^{q(r-t)} HC) (u - v (-a)^{-qt} C^2), the shape of
+    both closed forms and of their difference."""
+    first = SkeinElem({(0, 0): u, (1, 1): -(neg_alpha_pow(q * (r - t)) * v)})
+    second = SkeinElem({(0, 0): u, (0, 2): -(neg_alpha_pow(-q * t) * v)})
+    return SkeinElem.scalar(c0) + SkeinElem.scalar(c1) * first * second
 
 
 def closed_form_kb(q: int, r: int, t: int) -> SkeinElem:
     """-a + (a+1) (a^2 - (a^2-1)(-a)^{q(r-t)} HC) (a^2 - (a^2-1)(-a)^{-qt} C^2)."""
-    e1, e2 = q * (r - t), -q * t
-    first = SkeinElem.scalar(_ALPHA_SQ) - _hc(_ALPHA_SQ_MINUS_1 * neg_alpha_pow(e1))
-    second = SkeinElem.scalar(_ALPHA_SQ) - _cc(_ALPHA_SQ_MINUS_1 * neg_alpha_pow(e2))
-    return SkeinElem.scalar(-ALPHA) + SkeinElem.scalar(_ALPHA_PLUS_1) * first * second
+    return _factored(-ALPHA, _ALPHA_PLUS_1, _ALPHA_SQ, _ALPHA_SQ_MINUS_1, q, r, t)
 
 
 def closed_form_kg(q: int, r: int, t: int) -> SkeinElem:
     """a^2 - (a^2-1) (a - (a+1)(-a)^{q(r-t)} HC) (a - (a+1)(-a)^{-qt} C^2)."""
-    e1, e2 = q * (r - t), -q * t
-    first = SkeinElem.scalar(ALPHA) - _hc(_ALPHA_PLUS_1 * neg_alpha_pow(e1))
-    second = SkeinElem.scalar(ALPHA) - _cc(_ALPHA_PLUS_1 * neg_alpha_pow(e2))
-    return SkeinElem.scalar(_ALPHA_SQ) - SkeinElem.scalar(_ALPHA_SQ_MINUS_1) * first * second
+    return _factored(_ALPHA_SQ, -_ALPHA_SQ_MINUS_1, ALPHA, _ALPHA_PLUS_1, q, r, t)
 
 
 def difference(q: int, r: int, t: int) -> SkeinElem:
@@ -205,11 +200,7 @@ def difference(q: int, r: int, t: int) -> SkeinElem:
     The unit prefactor never vanishes away from a = +-1, so the difference
     can only vanish if one of the two right-hand factors does after
     substituting actual polynomial values for H and C."""
-    e1, e2 = q * (r - t), -q * t
-    unit_part = ALPHA * _ALPHA_PLUS_1 * _ALPHA_PLUS_1 * _ALPHA_SQ_MINUS_1
-    first = SkeinElem.one() - _hc(neg_alpha_pow(e1))
-    second = SkeinElem.one() - _cc(neg_alpha_pow(e2))
-    return SkeinElem.scalar(unit_part) * first * second
+    return _factored(0, _DIFFERENCE_UNIT, 1, 1, q, r, t)
 
 
 # the same functions under the names the acceptance suite imports

@@ -10,6 +10,7 @@ from slopecert.homfly import (
     DEFAULT_ORACLE_BUDGET,
     HomflyResult,
     OracleBudgetError,
+    _descent_conjugates,
     _find_square,
     _square_at_recrossing,
     clear_caches,
@@ -334,6 +335,54 @@ class TestRewrites:
             rotations = [w.letters[i:] + w.letters[:i] for i in range(L)]
             assert all(_square_at_recrossing(w.strands, r) is None for r in rotations)
             self.check_square(w.strands, w.letters)
+
+    @staticmethod
+    def reduced_words(n):
+        """Every nonempty reduced word on n strands, shortest first: each
+        extends a shorter one by a letter on two strands not yet crossed."""
+        level, words = [()], []
+        while level:
+            level = [w + (g,) for w in level for g in range(1, n) if _square_at_recrossing(n, w + (g,)) is None]
+            words += level
+        return words
+
+    def test_find_square_on_every_reduced_word_on_5_strands(self):
+        n = 5
+        words = [w for w in self.reduced_words(n) if all(w.count(g) >= 2 for g in range(1, n))]
+        assert len(words) == 1226
+        walked = [w for w in words if all(_square_at_recrossing(n, w[i:] + w[:i]) is None for i in range(len(w)))]
+        assert len(walked) == 64
+        for letters in words:
+            self.check_square(n, letters)
+
+    @staticmethod
+    def permutation(n, letters):
+        pos = list(range(n))
+        for g in letters:
+            pos[g - 1], pos[g] = pos[g], pos[g - 1]
+        return pos
+
+    @pytest.mark.parametrize("left", [False, True])
+    def test_descent_conjugates_are_conjugates(self, left):
+        # g Q (right) or Q' g (left) with g moved back to the other end is a
+        # reduced word of the start's permutation, so the same permutation
+        # braid; the oracle's gamma must agree as well
+        checked = 0
+        for n in (2, 3, 4, 5):
+            for letters in self.reduced_words(n):
+                start = oracle_gamma(BraidWord(n, letters))
+                for conjugate in _descent_conjugates(n, letters, left):
+                    undone = conjugate[-1:] + conjugate[:-1] if left else conjugate[1:] + conjugate[:1]
+                    assert _square_at_recrossing(n, undone) is None
+                    assert self.permutation(n, undone) == self.permutation(n, letters)
+                    assert oracle_gamma(BraidWord(n, conjugate)) == start
+                    checked += 1
+        assert checked == 9326
+
+    def test_find_square_raises_outside_its_precondition(self):
+        # sigma_1 alone: its one rotation and its descent conjugates are itself
+        with pytest.raises(ValueError, match="a generator occurs less than twice"):
+            _find_square((1,), 2)
 
     @staticmethod
     def eager_find_square(letters, n):

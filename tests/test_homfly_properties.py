@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from slopecert import homfly
 from slopecert.braid import BraidWord, closure_labels
 from slopecert.homfly import (
-    DEFAULT_ORACLE_BUDGET,
-    SquareSearchError,
     _find_square,
     _memo_put,
     _min_rotation,
@@ -175,21 +173,14 @@ def reference_gamma_rec(n, letters):
 
     if result is None:
         found = _find_square(letters, n)
-        if found is not None:
-            g, rest = found[0], found[2:]
-            labels = closure_labels(n, rest)
-            g_minus = reference_gamma_rec(n, rest)
-            if labels[g - 1] == labels[g]:
-                g_zero = reference_gamma_rec(n, found[1:])
-                result = -(ALPHA * (g_minus + g_zero))
-            else:
-                result = -(ALPHA * g_minus)
-
-    if result is None:
-        if len(letters) <= DEFAULT_ORACLE_BUDGET:
-            result = zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
+        g, rest = found[0], found[2:]
+        labels = closure_labels(n, rest)
+        g_minus = reference_gamma_rec(n, rest)
+        if labels[g - 1] == labels[g]:
+            g_zero = reference_gamma_rec(n, found[1:])
+            result = -(ALPHA * (g_minus + g_zero))
         else:
-            raise SquareSearchError(f"no square found for {BraidWord(n, letters)}")
+            result = -(ALPHA * g_minus)
 
     _memo_put(homfly._gamma_memo, key, result)
     return result
