@@ -8,6 +8,7 @@ sign. Everything here is combinatorial bookkeeping on those words.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -15,6 +16,11 @@ from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .surgery import SlopeParams
+
+# each letter takes at least one 8-byte tuple slot, so a longer word cannot fit in memory
+_MAX_LETTERS = sys.maxsize
+if hasattr(os, "sysconf"):
+    _MAX_LETTERS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,7 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError("negative twist count would break positivity")
     _check_torus(r, s)
     length = q * q * (s - 1) * r + (q - 1) * twists
-    if length > sys.maxsize:
+    if length > _MAX_LETTERS:
         raise ValueError(f"cable word of {length} letters is too long to build")
     try:
         period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
@@ -183,7 +189,9 @@ def cable_braid(params: "SlopeParams") -> BraidWord:
 def bennequin_euler_char(w: BraidWord) -> int:
     """Euler characteristic of the fiber surface of a positive braid
     closure: strands minus exponent sum, which for a positive word is its
-    length. Rejects non-positive words."""
+    length. Rejects non-positive words. Each letter is a transposition, so
+    the length is strands - components mod 2: chi has the parity of the
+    component count."""
     if not w.is_positive:
         raise ValueError("Euler characteristic formula needs a positive word")
     return w.strands - len(w.letters)
@@ -194,9 +202,5 @@ def closure_info(w: BraidWord) -> ClosureInfo:
     closure of a positive word."""
     comps = closure_components(w)
     chi = bennequin_euler_char(w)
-    genus = None
-    if comps == 1:
-        if (1 - chi) % 2:
-            raise ValueError("knot closure with even 1 - chi; bad bookkeeping")
-        genus = (1 - chi) // 2
+    genus = (1 - chi) // 2 if comps == 1 else None
     return ClosureInfo(components=comps, euler_char=chi, genus=genus)

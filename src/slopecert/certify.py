@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 # cable_braid is unused here; perfbench/tracer.py wraps each layer by its name in this module
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
 from .homfly import DEFAULT_ORACLE_BUDGET, gamma_positive, homfly_oracle, zeroth_gamma
-from .poly import LaurentPoly, SkeinElem, neg_alpha_pow
+from .poly import LaurentPoly, SkeinElem
 from .skein_tree import (
     closed_form_kb,
     closed_form_kg,
@@ -145,18 +145,11 @@ def certify_slope(
     _check(dual == Z @ A.inverse(), "dual map disagrees with Z * A^-1")
     Zp = GluingMatrix(1, params.p * params.q * params.r**2, 0, 1)
     _check(double_dual == Zp @ A, "double dual map disagrees with Z' * A")
-    _check(A.apply((0, 1)) == (params.r, params.s), "longitude column mismatch")
-    _check(
-        dual.apply((1, 0)) == (-params.t, -params.q),
-        "dual image of the meridian is not (-t, -q)",
-    )
-
     induced = induced_slopes(params)
-    _check(induced[1] == Fraction(params.t, params.q), "middle induced slope is not t/q")
 
     _check(closure_components(w) == 1, "cable closure is not a knot")
+    # choose_params accepts only chi < 1, and a knot closure has 1 - chi even
     chi = bennequin_euler_char(w)
-    _check(chi < 1 and (1 - chi) % 2 == 0, "Euler characteristic bookkeeping broken")
     genus = (1 - chi) // 2
 
     q, r, t = params.q, params.r, params.t
@@ -168,7 +161,6 @@ def certify_slope(
     _check(kb - kg == diff, "difference identity fails")
     _check(kb.evaluate_alpha(-1) == {(0, 0): 1}, "kb normalization at a = -1 fails")
     _check(kg.evaluate_alpha(-1) == {(0, 0): 1}, "kg normalization at a = -1 fails")
-    _check(diff.evaluate_alpha(-1) == {}, "difference should vanish at a = -1")
 
     gamma_cr: Optional[LaurentPoly] = None
     gamma_is_unit: Optional[bool] = None
@@ -187,10 +179,6 @@ def certify_slope(
                 zeroth_gamma(homfly_oracle(w)) == gamma_cr,
                 "fast engine disagrees with the skein oracle",
             )
-        # with C specialized to a non-unit, the C^2 factor of the difference
-        # cannot vanish, and the HC factor cannot vanish for any H
-        factor2 = LaurentPoly.one() - neg_alpha_pow(-q * t) * gamma_cr**2
-        _check(not factor2.is_zero(), "difference factor vanished unexpectedly")
         _check(not diff.substitute(c_value=gamma_cr).is_zero(), "difference vanished")
 
     reason = REASON_DIRECT if gamma_cr is not None else REASON_GENUS

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from .certify import DEFAULT_GAMMA_BUDGET, _json_text, batch
+from .homfly import DEFAULT_ORACLE_BUDGET
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--verify-oracle",
         action="store_true",
-        help="cross-check the fast engine against the exact skein oracle when affordable",
+        help="cross-check the fast engine against the exact skein oracle on cables of at most "
+        f"{DEFAULT_ORACLE_BUDGET} crossings (longer cables get no oracle check)",
     )
 
     one = sub.add_parser("certify", parents=[shared], help="certify a single slope P/Q")

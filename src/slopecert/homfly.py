@@ -397,9 +397,7 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)
-    if (2 - chi - comps) % 2:
-        raise ValueError("half-integer normalization exponent; bad bookkeeping")
-    half = (2 - chi - comps) // 2
+    half = (2 - chi - comps) // 2  # exact: chi has the parity of comps
     denom = (LaurentPoly({0: 1, 1: 1}) ** (s - 1)) * neg_alpha_pow(half)
     normalized = gamma.divexact(denom)
     return GammaResult(

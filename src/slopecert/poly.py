@@ -183,9 +183,6 @@ class LaurentPoly(_Sparse):
     def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     def coefficients(self):
         """Coefficients in ascending-exponent order."""
         return [c for _, c in self.items()]
@@ -247,28 +244,10 @@ class LaurentPoly(_Sparse):
             raise ValueError("not divisible: nonzero remainder")
         return LaurentPoly({i + av - bv: c for i, c in enumerate(Q) if c})
 
-    # Text form: terms "coeff*a^exp" in ascending exponent, joined by " + ".
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         return " + ".join(f"{c}*a^{e}" for e, c in self.items())
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Inverse of ``str``: parse '(-2)*a^1 + ...' style term lists."""
-        text = text.strip()
-        if not text or text == "0":
-            return cls.zero()
-        pairs = []
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coeff_s, sep, exp_s = chunk.partition("*a^")
-            if not sep:
-                raise ValueError(f"malformed Laurent term: {chunk!r}")
-            pairs.append((int(exp_s), int(coeff_s)))
-        return cls(pairs)
 
     def to_pairs(self):
         """JSON form: [exponent, coefficient] pairs, ascending exponent."""
@@ -297,10 +276,6 @@ class BiLaurent(_Sparse):
     _SCALARS = (int,)
     _add_keys = staticmethod(_add_pairs)
     __mul__ = __rmul__ = _Sparse.__mul__
-
-    @classmethod
-    def monomial(cls, coeff: int, v_exp: int, z_exp: int) -> "BiLaurent":
-        return cls({(v_exp, z_exp): coeff})
 
     def coeff(self, v_exp: int, z_exp: int) -> int:
         return self._terms.get((v_exp, z_exp), 0)
@@ -346,9 +321,6 @@ class SkeinElem(_Sparse):
     @classmethod
     def indeterminate_c(cls) -> "SkeinElem":
         return cls({(0, 1): 1})
-
-    def coeff(self, h_deg: int, c_deg: int) -> LaurentPoly:
-        return self._terms.get((h_deg, c_deg), LaurentPoly.zero())
 
     def substitute(self, c_value: LaurentPoly) -> "SkeinElem":
         """Substitute a Laurent value for C; H stays an indeterminate."""

@@ -111,21 +111,17 @@ def double_dual_gluing(A: GluingMatrix) -> GluingMatrix:
 def induced_slopes(params: SlopeParams):
     """Framings of the knot, its dual, and its double dual, viewed as a
     3-component link: (p/q, t/q, p*(1+q^2 r^2)/q)."""
-    p, q, r, s, t = params.p, params.q, params.r, params.s, params.t
-    return (
-        Fraction(p, q),
-        Fraction(-s * (1 - q * r), q),
-        Fraction(p * (1 + q * q * r * r), q),
-    )
+    p, q, r, t = params.p, params.q, params.r, params.t
+    return (Fraction(p, q), Fraction(t, q), Fraction(p * (1 + q * q * r * r), q))
 
 
 def choose_params(p: int, q: int, s_start: int = 1) -> tuple[SlopeParams, braid.BraidWord]:
     """Smallest completion of p/q whose companion cable knot is non-trivial,
     and the cable braid of that knot.
 
-    Walks s upward from max(1, s_start) through the arithmetic progression
-    solving p*s - q*r = 1 with integer r, and returns the first tuple whose
-    cable braid closes to a knot of positive genus (Euler characteristic
+    Walks the solutions s >= max(1, s_start) of p*s - q*r = 1 with integer
+    r upward, from the least one in steps of q, and returns the first tuple
+    whose cable braid closes to a knot of positive genus (Euler characteristic
     below 1). Small solutions can close to the unknot, which would make the
     certificate vacuous, so the genus test is part of the selection.
     """
@@ -136,14 +132,11 @@ def choose_params(p: int, q: int, s_start: int = 1) -> tuple[SlopeParams, braid.
     if p <= 1:
         raise ValueError(OUT_OF_RANGE_MESSAGE.format(p=p, q=q))
     s = max(1, s_start)
+    s += (pow(p, -1, q) - s) % q  # the least solution: s = p^-1 mod q
     while True:
-        if (p * s - 1) % q == 0:
-            r = (p * s - 1) // q
-            t = -s * (1 - q * r)
-            params = SlopeParams(p=p, q=q, r=r, s=s, t=t)
-            w = braid.cable_braid(params)
-            if braid.bennequin_euler_char(w) < 1:
-                return params, w
-            s += q  # later solutions differ by q
-        else:
-            s += 1
+        r = (p * s - 1) // q
+        params = SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
+        w = braid.cable_braid(params)
+        if braid.bennequin_euler_char(w) < 1:
+            return params, w
+        s += q

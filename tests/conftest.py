@@ -1,8 +1,13 @@
-"""Shared generators for the randomized tests. Everything is seeded by the
-caller so failures reproduce."""
+"""Shared generators for the randomized tests, and a fixture that keeps
+huge cables from being built. Everything is seeded by the caller, or
+derandomized by hypothesis, so failures reproduce."""
 
 from math import gcd
 
+import pytest
+from hypothesis import strategies as st
+
+import slopecert.braid
 from slopecert.braid import BraidWord
 from slopecert.surgery import SlopeParams, choose_params
 
@@ -50,6 +55,18 @@ def random_valid_params(rng, max_p=7, max_q=5) -> SlopeParams:
             return params
 
 
+@st.composite
+def slope_params(draw, max_p=9, max_q=4, solutions=3):
+    """A valid tuple with 2 <= p <= max_p, q <= max_q and s among the first
+    ``solutions`` solutions of p*s - q*r = 1. The defaults keep cables under
+    3,300 letters."""
+    q = draw(st.integers(1, max_q))
+    p = draw(st.integers(2, max_p).filter(lambda p: gcd(p, q) == 1))
+    s = (pow(p, -1, q) or q) + draw(st.integers(0, solutions - 1)) * q
+    r = (p * s - 1) // q
+    return SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
+
+
 def random_word(rng, max_strands=4, max_letters=8, positive=False) -> BraidWord:
     n = rng.randint(2, max_strands)
     length = rng.randint(1, max_letters)
@@ -58,3 +75,14 @@ def random_word(rng, max_strands=4, max_letters=8, positive=False) -> BraidWord:
         g = rng.randint(1, n - 1)
         letters.append(g if positive or rng.random() < 0.5 else -g)
     return BraidWord(n, tuple(letters))
+
+
+@pytest.fixture
+def cable_never_built(monkeypatch):
+    """Building any cable with s >= 2 fails the test, so a slope whose cable
+    would not fit in memory is never started."""
+
+    def unexpected(*args):
+        pytest.fail("a cable word was built")
+
+    monkeypatch.setattr(slopecert.braid, "_bundle_swap", unexpected)

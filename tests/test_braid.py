@@ -1,11 +1,10 @@
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_params
+from conftest import random_valid_params, slope_params
 from slopecert.braid import (
     BraidWord,
     _bundle_swap,
@@ -124,17 +123,6 @@ class TestTorusBraid:
             torus_braid(-1, 2)
         with pytest.raises(ValueError):
             torus_braid(2, 0)
-
-
-@st.composite
-def slope_params(draw):
-    """A valid tuple with 2 <= p <= 9, q <= 4 and s among the first three
-    solutions of p*s - q*r = 1, so cables stay under 3,300 letters."""
-    q = draw(st.integers(1, 4))
-    p = draw(st.integers(2, 9).filter(lambda p: gcd(p, q) == 1))
-    s = (pow(p, -1, q) or q) + draw(st.integers(0, 2)) * q
-    r = (p * s - 1) // q
-    return SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
 
 
 class TestCableBraid:
@@ -288,6 +276,15 @@ class TestClosureLabels:
         assert sorted(set(labels)) == list(range(len(cycles)))
         assert {frozenset(i for i in range(n) if labels[i] == k) for k in labels} == set(cycles)
         assert closure_components(BraidWord(n, letters)) == len(cycles)
+
+    @PROFILE
+    @given(words())
+    def test_length_has_the_parity_of_strands_minus_components(self, word):
+        # each letter is a transposition, so 1 - chi is even for a knot
+        # closure: certify_slope, closure_info and gamma_positive rely on it
+        n, letters = word
+        components = closure_components(BraidWord(n, letters))
+        assert (len(letters) - n + components) % 2 == 0
 
     @PROFILE
     @given(words())

@@ -213,6 +213,11 @@ class TestBatch:
         assert [e.ok for e in report.entries] == [False, True]
         assert "too long to build" in report.entries[0].error
 
+    def test_cable_too_large_for_memory_is_recorded(self, cable_never_built):
+        # 5.0e17 letters: below sys.maxsize, but more 8-byte slots than memory
+        report = batch(["2/1000003"])
+        assert report.summary_lines()[0].endswith("letters is too long to build")
+
     def test_out_of_memory_building_the_cable_is_recorded(self, cable_out_of_memory):
         report = batch(["3/2"])
         assert report.summary_lines()[0] == (
@@ -289,11 +294,17 @@ class TestCli:
         assert err.startswith("error: cable word of ")
         assert err.rstrip().endswith("letters is too long to build")
 
+    def test_cable_too_large_for_memory_is_an_error_line(self, cable_never_built, capsys):
+        assert main(["certify", "--slope", "2/1000003"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cable word of ")
+        assert err.rstrip().endswith("letters is too long to build")
+
     def test_out_of_memory_is_an_error_line(self, cable_out_of_memory, capsys):
-        assert main(["certify", "--slope", "3/2", "--s-start", "1000000"]) == 1
+        assert main(["certify", "--slope", "3/2", "--s-start", "1000"]) == 1
         err = capsys.readouterr().err
         assert err.rstrip() == (
-            "error: cable_braid: out of memory building a cable word of 6000006000001 letters"
+            "error: cable_braid: out of memory building a cable word of 6006001 letters"
         )
 
     def test_a_failed_check_is_an_error_line(self, kg_closed_form_off, capsys):

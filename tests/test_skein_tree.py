@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slopecert.poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
 from slopecert.skein_tree import (
@@ -26,6 +28,16 @@ Q, R, T = 2, 4, 21
 
 H = SkeinElem.indeterminate_h()
 C = SkeinElem.indeterminate_c()
+
+# hypothesis runs are derandomized
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+TREFOIL_GAMMA = LaurentPoly({1: -2, 2: -1})
+non_units = (
+    st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=4)
+    .map(LaurentPoly)
+    .filter(lambda g: not g.is_unit())
+)
 
 
 # format_tree text of the two roots of the 3/2 certificate, and of a
@@ -210,15 +222,17 @@ class TestUnitObstruction:
         collapsed = d.substitute(c_value=ALPHA)
         assert collapsed.is_zero()
 
-    def test_non_unit_substitution_cannot(self):
-        trefoil = LaurentPoly({1: -2, 2: -1})
-        for t in (-3, 0, 2, 21):
-            d = difference(1, 1, t)
-            survived = d.substitute(c_value=trefoil)
-            assert not survived.is_zero()
-            # the C^2 factor itself stays nonzero for a non-unit value
-            factor = LaurentPoly.one() - neg_alpha_pow(-t) * trefoil**2
-            assert not factor.is_zero()
+    @PROFILE
+    @given(non_units, st.integers(-60, 60), st.integers(1, 6), st.integers(-20, 20), st.integers(-60, 60))
+    @example(TREFOIL_GAMMA, 3, 1, 1, -3)
+    @example(TREFOIL_GAMMA, 0, 1, 1, 0)
+    @example(TREFOIL_GAMMA, -2, 1, 1, 2)
+    @example(TREFOIL_GAMMA, -21, 1, 1, 21)
+    def test_non_unit_substitution_cannot(self, gamma, k, q, r, t):
+        # 1 = (-a)^k gamma^2 would make gamma a unit, so certify_slope's
+        # substitution check needs no separate check of the C^2 factor
+        assert not (LaurentPoly.one() - neg_alpha_pow(k) * gamma**2).is_zero()
+        assert not difference(q, r, t).substitute(c_value=gamma).is_zero()
 
 
 class TestPrettyPrinter:

@@ -1,10 +1,14 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_gluing_tuple, random_valid_params
-from slopecert.braid import cable_braid
+from conftest import random_gluing_tuple, random_valid_params, slope_params
+from slopecert.braid import bennequin_euler_char, cable_braid
 from slopecert.certify import certify_slope
 from slopecert.surgery import (
     GluingMatrix,
@@ -16,6 +20,26 @@ from slopecert.surgery import (
 )
 
 I2 = GluingMatrix(1, 0, 0, 1)
+
+# hypothesis runs are derandomized
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+# any valid tuple with p, q <= 10**6; no cable is built from these
+wide_params = slope_params(max_p=10**6, max_q=10**6, solutions=10)
+
+
+def reference_choose_params(p, q, s_start):
+    """choose_params by a scan of every s, one at a time."""
+    s = max(1, s_start)
+    while True:
+        if (p * s - 1) % q == 0:
+            r = (p * s - 1) // q
+            params = SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
+            w = cable_braid(params)
+            if bennequin_euler_char(w) < 1:
+                return params, w
+        s += 1
 
 
 class TestGluingMatrix:
@@ -76,9 +100,12 @@ class TestSlopeParams:
         with pytest.raises(ValueError, match="^need s >= 1$"):
             SlopeParams(p=3, q=2, r=-2, s=-1, t=-3)  # p*s - q*r = 1 but s < 1
 
-    def test_matrix_columns(self):
-        P = SlopeParams(p=3, q=2, r=4, s=3, t=21)
-        assert P.matrix().apply((0, 1)) == (4, 3)
+    @PROFILE
+    @given(wide_params)
+    def test_matrix_columns(self, P):
+        # certify_slope relies on the second column instead of checking it
+        assert P.matrix().apply((1, 0)) == (P.p, P.q)
+        assert P.matrix().apply((0, 1)) == (P.r, P.s)
 
     def test_json_fragment(self):
         P = SlopeParams(p=3, q=2, r=4, s=3, t=21)
@@ -94,13 +121,13 @@ class TestInducedSlopes:
         P = SlopeParams(p=2, q=1, r=1, s=1, t=0)
         assert induced_slopes(P) == (Fraction(2), Fraction(0), Fraction(4))
 
-    def test_middle_numerator_is_t(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            P = random_valid_params(rng)
-            middle = induced_slopes(P)[1]
-            assert middle == Fraction(P.t, P.q)
-            assert middle.numerator == P.t and middle.denominator == P.q
+    @PROFILE
+    @given(wide_params)
+    def test_middle_numerator_is_t(self, P):
+        # certify_slope relies on this instead of checking it
+        middle = induced_slopes(P)[1]
+        assert middle == Fraction(P.t, P.q)
+        assert middle.numerator == P.t and middle.denominator == P.q
 
 
 class TestChooseParams:
@@ -125,11 +152,25 @@ class TestChooseParams:
             w = P.t - P.q * P.r * (P.s - 1)
             assert w == (P.p - 1) * P.s - 1
 
-    def test_dual_meridian_image(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            P = random_valid_params(rng)
-            assert dual_gluing(P.matrix()).apply((1, 0)) == (-P.t, -P.q)
+    @PROFILE
+    @given(wide_params)
+    def test_dual_meridian_image(self, P):
+        # dual_gluing's formula and t = -s(1 - qr) give (-t, -q); certify_slope
+        # checks the formula against Z * A^-1 and relies on this
+        assert dual_gluing(P.matrix()).apply((1, 0)) == (-P.t, -P.q)
+
+    @PROFILE
+    @given(st.integers(2, 20), st.integers(1, 8), st.integers(-2, 20))
+    def test_matches_a_scan_of_every_s(self, p, q, s_start):
+        if gcd(p, q) == 1:
+            assert choose_params(p, q, s_start) == reference_choose_params(p, q, s_start)
+
+    def test_large_q_fails_without_scanning(self, cable_never_built):
+        # the least s is about q/2: a scan by ones took seconds to get there
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="letters is too long to build$"):
+            choose_params(2, 10**8 + 7)
+        assert time.perf_counter() - start < 1
 
     def test_s_start_advances_the_progression(self):
         base, _ = choose_params(2, 1, s_start=1)
