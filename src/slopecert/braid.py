@@ -17,10 +17,10 @@ from typing import Optional, TYPE_CHECKING
 if TYPE_CHECKING:
     from .surgery import SlopeParams
 
-# each letter takes at least one 8-byte tuple slot, so a longer word cannot fit in memory
-_MAX_LETTERS = sys.maxsize
+# physical memory in bytes, against which cable_word sizes a word before building it
+_MEMORY_BYTES = sys.maxsize
 if hasattr(os, "sysconf"):
-    _MAX_LETTERS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+    _MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class BraidWord:
         return BraidWord(self.strands, tuple(reversed(self.letters)))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return f"{self.strands}:"
-        return f"{self.strands}: " + " ".join(map(str, self.letters))
+        # one str() per distinct letter, not per letter
+        text = {x: str(x) for x in set(self.letters)}
+        return " ".join([f"{self.strands}:", *map(text.__getitem__, self.letters)])
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
@@ -163,7 +163,10 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError("negative twist count would break positivity")
     _check_torus(r, s)
     length = q * q * (s - 1) * r + (q - 1) * twists
-    if length > _MAX_LETTERS:
+    # each letter is an 8-byte tuple slot; with twist letters, ``period * r``
+    # and the joined word are alive together, so the build holds two slots
+    slots = 2 if q > 1 and twists else 1
+    if length * slots * 8 > _MEMORY_BYTES:
         raise ValueError(f"cable word of {length} letters is too long to build")
     try:
         period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))

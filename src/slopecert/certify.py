@@ -18,9 +18,9 @@ identity failure raises instead of producing a bad certificate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, List, Optional, Tuple, Union
 
 # cable_braid is unused here; perfbench/tracer.py wraps each layer by its name in this module
@@ -60,9 +60,42 @@ def _check(condition: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_value(v, nl: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, where
+    ``nl`` is a newline plus the indent of the line ``v`` starts on.
+
+    Types are matched exactly, so an int subclass raises instead of being
+    written as a bool; strings go through the encoder ``json.dumps`` uses."""
+    t = type(v)
+    if t is int:
+        return repr(v)
+    if t is list:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in v]) + nl + "]"
+    if t is str:
+        return _json_string(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = [_json_string(k) + ": " + _json_value(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if v is None or t is bool:
+        return _JSON_CONSTANTS[v]
+    raise TypeError(f"a certificate holds no {t.__name__} value")
+
+
 def _json_text(obj: dict) -> str:
-    """The one JSON text form of a certificate object."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The one JSON text form of a certificate object:
+    ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, written by
+    ``_json_value`` because the indented ``json.dumps`` never uses the C
+    encoder."""
+    return _json_value(obj, "\n") + "\n"
 
 
 @dataclass(frozen=True)

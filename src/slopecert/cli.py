@@ -24,7 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_GAMMA_BUDGET,
         metavar="CROSSINGS",
-        help="run the direct polynomial route only up to this many crossings",
+        help="run the direct polynomial route only up to this many crossings; its work grows "
+        "fast with the strand count, so a raised budget can stall on a cable of 3 or more strands",
     )
     shared.add_argument(
         "--verify-oracle",

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slopecert.braid
 from conftest import random_valid_params, slope_params
 from slopecert.braid import (
     BraidWord,
@@ -23,6 +24,16 @@ from slopecert.surgery import SlopeParams
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
+def _signed_letters(n):
+    letters = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g)))
+    return st.lists(letters, max_size=60) if n > 1 else st.just([])
+
+
+signed_words = st.integers(1, 50).flatmap(
+    lambda n: _signed_letters(n).map(lambda letters: BraidWord(n, tuple(letters)))
+)
+
+
 class TestBraidWord:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,6 +49,16 @@ class TestBraidWord:
         assert BraidWord.parse("2: 1 1 1") == w
         assert BraidWord.parse("3:") == BraidWord(3, ())
         assert BraidWord.parse(" 4 : -1 3  -2 ") == BraidWord(4, (-1, 3, -2))
+
+    @PROFILE
+    @given(signed_words)
+    @example(BraidWord(1, ()))
+    @example(BraidWord(4, ()))
+    @example(BraidWord(50, (49, -1)))
+    def test_text_is_the_letters_joined(self, w):
+        n, letters = w.strands, w.letters
+        assert str(w) == (f"{n}: " + " ".join(map(str, letters)) if letters else f"{n}:")
+        assert BraidWord.parse(str(w)) == w
 
     def test_exponent_sum(self):
         assert BraidWord(3, (1, -2, 2, 1)).exponent_sum == 2
@@ -87,6 +108,17 @@ class TestCableWord:
                         w = cable_word(q, r, s, twists)
                         assert w.strands == q * s
                         assert w.letters == tuple(ref)
+
+    @pytest.mark.parametrize("twists, bytes_per_letter", [(5, 16), (0, 8)])
+    def test_memory_bound_counts_what_the_build_holds(self, monkeypatch, twists, bytes_per_letter):
+        """With twist letters, ``period * r`` and the joined word are alive
+        together: two 8-byte slots per letter; without, one."""
+        length = len(cable_word(2, 3, 2, twists).letters)
+        monkeypatch.setattr(slopecert.braid, "_MEMORY_BYTES", bytes_per_letter * length - 1)
+        with pytest.raises(ValueError, match=f"^cable word of {length} letters is too long to build$"):
+            cable_word(2, 3, 2, twists)
+        monkeypatch.setattr(slopecert.braid, "_MEMORY_BYTES", bytes_per_letter * length)
+        assert len(cable_word(2, 3, 2, twists).letters) == length
 
     def test_rejects_bad_torus_parameters(self):
         with pytest.raises(ValueError, match="need r >= 0 and s >= 1"):

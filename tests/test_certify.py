@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slopecert.braid
 import slopecert.certify
@@ -14,6 +16,7 @@ from slopecert.certify import (
     REASON_DIRECT,
     REASON_GENUS,
     CertificateError,
+    _json_text,
     batch,
     certify_slope,
     parse_slope,
@@ -151,6 +154,30 @@ class TestCertifySlope:
             assert len(row) == 3
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**30), 10**30) | st.text(),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text() | st.just("mirror_of"), children, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(json_values)
+    @example({"mirror_of": "-5/2", "braid": "2: 1 1 1", "gamma_cr": None, "gamma_cr_is_unit": False})
+    @example([1, [2, [], {}], -3])
+    @example([[1], 2, "x", True, None])
+    @example({"\u00e9\x00\n\"\\\u2028": [-(2**70), 2**70]})
+    def test_equals_json_dumps(self, v):
+        assert _json_text(v) == json.dumps(v, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("v", [1.5, (1, 2), {1: 2}, [b"x"]])
+    def test_a_type_no_certificate_holds_raises(self, v):
+        with pytest.raises(TypeError):
+            _json_text(v)
+
+
 class TestParseSlope:
     def test_forms(self):
         assert parse_slope("3/2") == (3, 2)
@@ -284,6 +311,7 @@ class TestCli:
         assert main(["certify", slope, "--json", "-"]) == 0
         captured = capsys.readouterr()
         obj = json.loads(captured.out)
+        assert captured.out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert obj["slope"] == {"p": 2, "q": 1}
         assert "genus 1" in captured.err
         assert ("mirror" in captured.err) == (obj["mirror_of"] is not None)
