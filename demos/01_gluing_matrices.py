@@ -16,13 +16,19 @@ print("gluing matrix A          :", A.rows())
 dual = dual_gluing(A)
 print("dual gluing map          :", dual.rows())
 Z = GluingMatrix(1, params.r * params.s, 0, 1)
-print("equals Z @ A^-1?         :", dual == Z @ A.inverse(), " (Z carries the r*s surface framing)")
-print("meridian image           :", dual.apply((1, 0)), "= (-t, -q): the dual meridian is a (-t,-q) cable curve")
+same = dual == Z @ A.inverse()
+print("equals Z @ A^-1?         :", same, " (Z carries the r*s surface framing)")
+assert same
+meridian = dual.apply((1, 0))
+print("meridian image           :", meridian, "= (-t, -q): the dual meridian is a (-t,-q) cable curve")
+assert meridian == (-params.t, -params.q)
 
 double = double_dual_gluing(A)
 print("double dual gluing map   :", double.rows())
 Zp = GluingMatrix(1, params.p * params.q * params.r**2, 0, 1)
-print("equals Z' @ A?           :", double == Zp @ A)
+same = double == Zp @ A
+print("equals Z' @ A?           :", same)
+assert same
 
 print()
 print("the knot, its dual, and its double dual form a 3-component link")

@@ -37,11 +37,14 @@ for name, w in (("right trefoil", BraidWord(2, (1, 1, 1))), ("(4,3) torus knot",
     print(f"  {name}: Gamma = {res.gamma}")
     print(f"    matches oracle: {same}, normalized = {res.gamma_normalized} (all coefficients >= 0)")
     print(f"    Gamma(-1) = {res.gamma.evaluate(-1)} (knot normalization)")
+    assert same and res.gamma.evaluate(-1) == 1
+    assert all(c >= 0 for c in res.gamma_normalized.coefficients())
 
 print()
 print("links split into their components up to a linking-number weight:")
 hopf = BraidWord(2, (1, 1))
 one = LaurentPoly.one()
 lk = total_linking(hopf)
-print(f"  Hopf link: lk = {lk}, formula gives {gamma_linking_formula([one, one], lk)},"
-      f" oracle gives {zeroth_gamma(homfly_oracle(hopf))}")
+formula, oracle = gamma_linking_formula([one, one], lk), zeroth_gamma(homfly_oracle(hopf))
+print(f"  Hopf link: lk = {lk}, formula gives {formula}, oracle gives {oracle}")
+assert formula == oracle

@@ -3,10 +3,15 @@
 Both knots are band sums of iterated twisted Whitehead doubles of a cable
 of the companion knot. Expanding skein and linking relations turns each
 into a tree whose leaves are only the unknot, the companion cable knot
-(indeterminate C), and one band-sum knot (indeterminate H). The two
-resulting polynomials differ by a product that can only vanish if C's
-polynomial were a unit, and positive braid knots never have unit
-polynomials.
+(indeterminate C), and one band-sum knot (indeterminate H). The two trees
+repeat many patterns, so both are expanded and evaluated as one DAG, each
+distinct pattern once. The two resulting polynomials differ by a product
+that can only vanish if C's polynomial were a unit.
+
+That a non-trivial positive braid knot never has a unit polynomial is an
+unproved assumption, checked empirically; the genus route rests on it. The
+direct route does not use it: it computes the cable polynomial and checks
+that it is not a unit.
 """
 
 from slopecert import (
@@ -22,29 +27,49 @@ from slopecert import (
 )
 from slopecert.poly import LaurentPoly
 
+
+def internal_nodes(tree):
+    """Skein and linking nodes of ``tree`` walked as a tree."""
+    return 0 if tree.kind == "leaf" else 1 + sum(internal_nodes(c) for c in tree.children)
+
+
 params = SlopeParams(p=3, q=2, r=4, s=3, t=21)
 
 q, r, t = params.q, params.r, params.t
-tree = expand(kb_root(q, t), q, r)
+nodes, values = {}, {}  # one node and one value per distinct pattern
+tree = expand(kb_root(q, t), q, r, nodes)
 print("skein/linking tree of the first knot (boxed numbers are linking numbers):")
 print(format_tree(tree))
 
-kb = eval_tree(tree)
-kg = eval_tree(expand(kg_root(q, t), q, r))
+kb = eval_tree(tree, values)
+kg_tree = expand(kg_root(q, t), q, r, nodes)
+kg = eval_tree(kg_tree, values)
 print()
 print("first polynomial :", kb)
 print()
 print("second polynomial:", kg)
+print()
+print(f"skein and linking nodes: {internal_nodes(tree) + internal_nodes(kg_tree)} in the two trees,"
+      f" {len(values)} distinct, each evaluated once")
 
 print()
-print("closed forms agree with the trees:", kb == closed_form_kb(q, r, t) and kg == closed_form_kg(q, r, t))
+agree = kb == closed_form_kb(q, r, t) and kg == closed_form_kg(q, r, t)
+print("closed forms agree with the trees:", agree)
+assert agree
 diff = difference(q, r, t)
-print("difference factors exactly      :", kb - kg == diff)
-print("difference vanishes at a = -1   :", diff.evaluate_alpha(-1) == {})
+factors = kb - kg == diff
+print("difference factors exactly      :", factors)
+assert factors
+vanishes = diff.evaluate_alpha(-1) == {}
+print("difference vanishes at a = -1   :", vanishes)
+assert vanishes
 
 print()
 print("substituting the actual (non-unit) cable polynomial keeps the difference nonzero:")
 trefoil_gamma = LaurentPoly({1: -2, 2: -1})
-print("  with C -> trefoil polynomial:", not diff.substitute(c_value=trefoil_gamma).is_zero())
+nonzero = not diff.substitute(c_value=trefoil_gamma).is_zero()
+print("  with C -> trefoil polynomial:", nonzero)
+assert nonzero
 print("  with C -> the unit -a^0     :", "vanishing is only possible for units;")
 print("  unit detection:", trefoil_gamma.is_unit(), "(trefoil polynomial is not a unit)")
+assert not trefoil_gamma.is_unit()

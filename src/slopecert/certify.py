@@ -188,8 +188,11 @@ def certify_slope(
     q, r, t = params.q, params.r, params.t
     kb = closed_form_kb(q, r, t)
     kg = closed_form_kg(q, r, t)
-    _check(eval_tree(expand(kb_root(q, t), q, r)) == kb, "first tree != closed form")
-    _check(eval_tree(expand(kg_root(q, t), q, r)) == kg, "second tree != closed form")
+    # the two trees are one DAG: each distinct pattern of this slope is
+    # expanded and evaluated once, and both memos end with this call
+    nodes, values = {}, {}
+    _check(eval_tree(expand(kb_root(q, t), q, r, nodes), values) == kb, "first tree != closed form")
+    _check(eval_tree(expand(kg_root(q, t), q, r, nodes), values) == kg, "second tree != closed form")
     diff = difference(q, r, t)
     _check(kb - kg == diff, "difference identity fails")
     _check(kb.evaluate_alpha(-1) == {(0, 0): 1}, "kb normalization at a = -1 fails")

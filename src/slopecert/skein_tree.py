@@ -18,9 +18,10 @@ layer kind:
   splitting of a 2-component link into its factors, weighted by linking
   number lk.
 
-This module builds the trees by rewriting, evaluates them exactly over
-Z[a^{+-1}][H, C], and cross-checks against closed-form products and the
-factorized difference of the two polynomials.
+This module builds the trees by rewriting, with one node per distinct
+pattern, evaluates them exactly over Z[a^{+-1}][H, C], and cross-checks
+against closed-form products and the factorized difference of the two
+polynomials.
 """
 
 from __future__ import annotations
@@ -111,8 +112,12 @@ def two_cable_of_cable(m: int) -> PatternExpr:
     return _pattern("C", ("Cbar", m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkeinTree:
+    """A node of an expanded tree. Nodes compare and hash by identity: an
+    expansion gives each distinct pattern one node, which every parent of
+    that pattern shares."""
+
     expr: PatternExpr
     kind: str  # "leaf" | "skein" | "linking"
     children: Tuple["SkeinTree", ...] = ()
@@ -130,39 +135,64 @@ def kg_root(q: int, t: int) -> PatternExpr:
     return banded_iterated_double(2, 0, 1, q * t)
 
 
-def expand(expr: PatternExpr, q: int, r: int) -> SkeinTree:
-    """Expand a pattern expression to a full tree, one rule per layer kind;
+def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> SkeinTree:
+    """Expand a pattern expression to its tree, one rule per layer kind;
     only the product q*r enters (through the linking number of the band
-    knot with the cable)."""
+    knot with the cable).
+
+    Equal patterns get one node, so the tree is a DAG and each distinct
+    pattern is expanded once. ``memo`` maps the patterns expanded so far to
+    their nodes; calls with the same q*r that pass one dict share nodes."""
+    if memo is None:
+        memo = {}
+    node = memo.get(expr)
+    if node is not None:
+        return node
     if not expr.layers:
-        return SkeinTree(expr, "leaf")
-    base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
-    if outer[0] == "D":
-        # D^k_m o X: change a clasp crossing (D^{k-1}_m o X) or smooth it
-        # (Cbar_{2m,2} o X), on the same base
-        _, k, m = outer
-        left = expand(_pattern(base, ("D", k - 1, m), *inner), q, r)
-        right = expand(_pattern(base, ("Cbar", m), *inner), q, r)
-        return SkeinTree(expr, "skein", (left, right))
-    # Cbar_{2m,2} o X splits into X on the base and X on the cable; only
-    # the band knot itself links the cable, as a double has winding number 0
-    m = outer[1]
-    lk = q * r - m if base == "H" and not inner else -m
-    children = (expand(_pattern(base, *inner), q, r), expand(_pattern("C", *inner), q, r))
-    return SkeinTree(expr, "linking", children, lk=lk)
+        node = SkeinTree(expr, "leaf")
+    else:
+        base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
+        if outer[0] == "D":
+            # D^k_m o X: change a clasp crossing (D^{k-1}_m o X) or smooth
+            # it (Cbar_{2m,2} o X), on the same base
+            _, k, m = outer
+            left = expand(_pattern(base, ("D", k - 1, m), *inner), q, r, memo)
+            right = expand(_pattern(base, ("Cbar", m), *inner), q, r, memo)
+            node = SkeinTree(expr, "skein", (left, right))
+        else:
+            # Cbar_{2m,2} o X splits into X on the base and X on the cable;
+            # only the band knot itself links the cable, as a double has
+            # winding number 0
+            m = outer[1]
+            lk = q * r - m if base == "H" and not inner else -m
+            children = (expand(_pattern(base, *inner), q, r, memo), expand(_pattern("C", *inner), q, r, memo))
+            node = SkeinTree(expr, "linking", children, lk=lk)
+    memo[expr] = node
+    return node
 
 
-def eval_tree(tree: SkeinTree) -> SkeinElem:
-    """Bottom-up exact evaluation in Z[a^{+-1}][H, C]."""
+def eval_tree(tree: SkeinTree, memo: Optional[dict] = None) -> SkeinElem:
+    """Bottom-up exact evaluation in Z[a^{+-1}][H, C], each node once.
+
+    ``memo`` maps the nodes evaluated so far to their values; calls that
+    pass one dict share the values of the nodes their trees share."""
     if tree.kind == "leaf":
         return _LEAVES[tree.expr.base]
-    values = [eval_tree(child) for child in tree.children]
+    if memo is None:
+        memo = {}
+    value = memo.get(tree)
+    if value is not None:
+        return value
+    values = [eval_tree(child, memo) for child in tree.children]
     if tree.kind == "skein":
-        return _SKEIN_FACTOR * (values[0] + values[1])
-    if tree.kind == "linking":
+        value = _SKEIN_FACTOR * (values[0] + values[1])
+    elif tree.kind == "linking":
         weight = -(ONE_PLUS_INV_ALPHA * neg_alpha_pow(tree.lk))
-        return SkeinElem.scalar(weight) * values[0] * values[1]
-    raise ValueError(f"unknown tree kind {tree.kind!r}")
+        value = SkeinElem.scalar(weight) * values[0] * values[1]
+    else:
+        raise ValueError(f"unknown tree kind {tree.kind!r}")
+    memo[tree] = value
+    return value
 
 
 def format_tree(tree: SkeinTree, indent: int = 0) -> str:

@@ -22,7 +22,7 @@ from slopecert.certify import (
     parse_slope,
 )
 from slopecert.cli import main
-from slopecert.poly import LaurentPoly
+from slopecert.poly import LaurentPoly, SkeinElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -152,6 +152,25 @@ class TestCertifySlope:
         # every polynomial row is [h, c, pairs]
         for row in obj["kb"]:
             assert len(row) == 3
+
+
+class TestRingWorkIsPinned:
+    """Both skein trees of a slope are one DAG with one value per distinct
+    pattern, so a certificate takes a fixed number of SkeinElem products:
+    21, where evaluating each tree on its own, node by node, takes 39."""
+
+    def test_skein_products_of_one_certificate(self, monkeypatch):
+        products = []
+        multiply = SkeinElem.__dict__["__mul__"]
+
+        def counted(a, b):
+            products.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(SkeinElem, "__mul__", counted)
+        monkeypatch.setattr(SkeinElem, "__rmul__", counted)
+        certify_slope(3, 2)
+        assert len(products) == 21
 
 
 json_values = st.recursive(

@@ -22,6 +22,7 @@ from slopecert.skein_tree import (
     two_cable_of_cable,
     unknot,
 )
+from slopecert.surgery import choose_params
 
 # (q, r, t) of the 3/2 certificate, SlopeParams(p=3, q=2, r=4, s=3, t=21)
 Q, R, T = 2, 4, 21
@@ -126,6 +127,60 @@ def boxed_linking_numbers(tree):
     return out
 
 
+def reference_value(expr, q, r):
+    """The value of ``expr`` by the skein and linking rules, as a plain
+    recursion that shares nothing: every repeated pattern is expanded and
+    evaluated again."""
+    if not expr.layers:
+        return {"U": SkeinElem.one(), "H": H, "C": C}[expr.base]
+    base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
+
+    def value(base, *layers):
+        if layers and layers[0][0] == "D" and layers[0][1] == 0:
+            return SkeinElem.one()  # a zero-clasp outer double unknots
+        return reference_value(PatternExpr(base, layers), q, r)
+
+    if outer[0] == "D":
+        _, k, m = outer
+        both = value(base, ("D", k - 1, m), *inner) + value(base, ("Cbar", m), *inner)
+        return SkeinElem.scalar(-ALPHA) * both
+    m = outer[1]
+    lk = q * r - m if base == "H" and not inner else -m
+    weight = -(ONE_PLUS_INV_ALPHA * neg_alpha_pow(lk))
+    return SkeinElem.scalar(weight) * value(base, *inner) * value("C", *inner)
+
+
+def internal_nodes(tree):
+    """Internal nodes of ``tree`` walked as a tree: a shared node counts once
+    per path to it."""
+    if tree.kind == "leaf":
+        return 0
+    return 1 + sum(internal_nodes(child) for child in tree.children)
+
+
+def distinct_internal_nodes(*roots):
+    """Internal node objects reachable from ``roots``, each counted once;
+    by ``id``, so the count does not depend on how nodes compare."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node.kind != "leaf" and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+clasps = st.integers(0, 3)
+twists = st.integers(-60, 60)
+patterns = st.one_of(
+    st.builds(banded_double, clasps, twists),
+    st.builds(banded_iterated_double, clasps, twists, clasps, twists),
+    st.builds(banded_two_cable, twists),
+    st.builds(double_of_cable, clasps, twists),
+    st.builds(two_cable_of_cable, twists),
+)
+
+
 class TestRoots:
     def test_twist_parameter_lands_on_the_inner_double(self):
         assert kb_root(Q, T) == banded_iterated_double(1, 0, 2, 42)
@@ -167,6 +222,37 @@ class TestExpansion:
             expand(PatternExpr("mystery", (1,)), 1, 1)
         with pytest.raises(ValueError):
             expand(PatternExpr("H", (("E", 1),)), 1, 1)
+
+
+class TestSharing:
+    @PROFILE
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-50, 50), st.lists(patterns, max_size=4))
+    @example(0, 0, 0, [])
+    @example(Q, R, T, [banded_two_cable(Q * T), double_of_cable(2, -Q * T)])
+    def test_shared_dag_equals_unshared_reference(self, q, r, t, drawn):
+        nodes, values = {}, {}
+        for expr in (kb_root(q, t), kg_root(q, t), *drawn):
+            expected = reference_value(expr, q, r)
+            assert eval_tree(expand(expr, q, r)) == expected
+            assert eval_tree(expand(expr, q, r, nodes), values) == expected
+
+    @pytest.mark.parametrize("slope", [(3, 2), (7, 2), (101, 2), (37, 11)])
+    def test_one_slope_evaluates_half_its_nodes(self, slope):
+        params, _ = choose_params(*slope)
+        q, r, t = params.q, params.r, params.t
+        nodes, values = {}, {}
+        kb = expand(kb_root(q, t), q, r, nodes)
+        kg = expand(kg_root(q, t), q, r, nodes)
+        assert internal_nodes(kb) + internal_nodes(kg) == 22
+        assert distinct_internal_nodes(kb, kg) == 11
+        eval_tree(kb, values)
+        eval_tree(kg, values)
+        assert len(values) == 11
+
+    def test_equal_patterns_get_one_node(self):
+        tree = expand(kb_root(Q, T), Q, R)
+        inner = tree.children[1].children[0]  # [D^2_{42}]
+        assert inner.children[0].children[1] is inner.children[1]  # [Cbar_{84,2}]
 
 
 class TestEvaluation:
