@@ -9,9 +9,11 @@ distinct pattern once. The two resulting polynomials differ by a product
 that can only vanish if C's polynomial were a unit.
 
 That a non-trivial positive braid knot never has a unit polynomial is an
-unproved assumption, checked empirically; the genus route rests on it. The
-direct route does not use it: it computes the cable polynomial and checks
-that it is not a unit.
+unproved assumption, checked empirically. The genus route needs less: that
+C's polynomial squared is not (-a)^{qt}. The Morton-Franks-Williams degree
+bound proves that when p >= q + 2, and parity when qt is odd; the other
+genus-route slopes rest on the assumption. The direct route does not use
+it: it computes the cable polynomial and checks that it is not a unit.
 """
 
 from slopecert import (

@@ -17,6 +17,8 @@ from slopecert import batch, certify_slope
 print("single slope, with the oracle cross-check enabled:")
 cert = certify_slope(2, 1, verify_oracle=True)
 print(" ", cert.summary())
+assert cert.diff_nonzero_reason == "direct-gamma-non-unit"
+assert "reason: direct-gamma-non-unit" in cert.summary()
 print("  certificate JSON is deterministic; a fragment:")
 obj = cert.to_obj()
 fragment = {k: obj[k] for k in ("slope", "params", "braid", "genus", "diff_nonzero_reason")}
@@ -28,3 +30,5 @@ report = batch(["3/1", "5/2", "1/1", "3/2"])
 for line in report.summary_lines():
     print(" ", line)
 print("  exit status would be", 0 if report.all_ok else 1)
+assert [e.slope for e in report.entries if not e.ok] == ["1/1"]
+assert "outside the working range" in report.entries[2].error

@@ -117,18 +117,6 @@ def total_linking(w: BraidWord) -> int:
     return acc // 2
 
 
-def torus_braid(r: int, s: int) -> BraidWord:
-    """The standard positive braid on s strands closing to the (r, s) torus
-    link: (sigma_1 ... sigma_{s-1}) repeated r times."""
-    _check_torus(r, s)
-    return BraidWord(s, tuple(range(1, s)) * r)
-
-
-def _check_torus(r: int, s: int) -> None:
-    if r < 0 or s < 1:
-        raise ValueError("need r >= 0 and s >= 1")
-
-
 def _bundle_swap(base_index: int, q: int) -> tuple:
     """Positive crossings exchanging adjacent bundles of q strands.
 
@@ -161,7 +149,8 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError("cable needs q >= 1")
     if twists < 0:
         raise ValueError("negative twist count would break positivity")
-    _check_torus(r, s)
+    if r < 0 or s < 1:
+        raise ValueError("need r >= 0 and s >= 1")
     length = q * q * (s - 1) * r + (q - 1) * twists
     # each letter is an 8-byte tuple slot; with twist letters, ``period * r``
     # and the joined word are alive together, so the build holds two slots
@@ -175,6 +164,12 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError(
             f"cable_braid: out of memory building a cable word of {length} letters"
         ) from None
+
+
+def torus_braid(r: int, s: int) -> BraidWord:
+    """The standard positive braid on s strands closing to the (r, s) torus
+    link: (sigma_1 ... sigma_{s-1}) repeated r times, the untwisted 1-cable."""
+    return cable_word(1, r, s, 0)
 
 
 def cable_braid(params: "SlopeParams") -> BraidWord:

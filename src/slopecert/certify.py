@@ -5,10 +5,16 @@ For a slope p/q with p > 1, the pipeline picks parameters, builds the
 positive cable braid of the companion knot, and justifies that the two
 symbolic polynomials differ. Two independent justifications exist:
 
-- genus route (always on): the cable closes to a knot of positive genus,
-  and a non-trivial positive braid knot never has a unit zeroth coefficient
-  polynomial (an unproved assumption, checked empirically in the test
-  suite);
+- genus route (always on): the cable closes to a knot of positive genus.
+  The difference, with C set to the cable's zeroth coefficient polynomial
+  C(R), vanishes exactly when C(R)^2 = (-a)^{qt}, so that is all the
+  certificate must exclude. With e letters on n strands, every a-degree k
+  of C(R) has e - n + 1 <= 2k <= e + n - 1 (the Morton-Franks-Williams
+  bound), and qt - (e - n + 1) = s(p + q - 1) - 2; so qt lies above that
+  window whenever p >= q + 2. When qt is odd, no monomial squares to
+  (-a)^{qt}. The other slopes rest on an unproved assumption, checked
+  empirically in the test suite: a non-trivial positive braid knot never
+  has a unit zeroth coefficient polynomial;
 - direct route (budget-gated): actually compute the cable polynomial and
   test unit-ness, which large cables make too expensive.
 
@@ -181,7 +187,8 @@ def certify_slope(
     induced = induced_slopes(params)
 
     _check(closure_components(w) == 1, "cable closure is not a knot")
-    # choose_params accepts only chi < 1, and a knot closure has 1 - chi even
+    # choose_params returns only chi < 1 (its docstring proves it), and a knot
+    # closure has 1 - chi even
     chi = bennequin_euler_char(w)
     genus = (1 - chi) // 2
 

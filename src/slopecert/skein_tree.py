@@ -72,6 +72,8 @@ class PatternExpr:
         for layer in self.layers:
             if layer[0] not in ("D", "Cbar"):
                 raise ValueError(f"unknown satellite layer {layer!r}")
+            if layer[0] == "D" and layer[1] < 0:
+                raise ValueError(f"double layer {layer!r} has a negative clasp count")
 
     def label(self) -> str:
         if not self.layers:

@@ -117,13 +117,24 @@ def induced_slopes(params: SlopeParams):
 
 def choose_params(p: int, q: int, s_start: int = 1) -> tuple[SlopeParams, braid.BraidWord]:
     """Smallest completion of p/q whose companion cable knot is non-trivial,
-    and the cable braid of that knot.
+    and the cable braid of that knot, the one cable this builds.
 
-    Walks the solutions s >= max(1, s_start) of p*s - q*r = 1 with integer
-    r upward, from the least one in steps of q, and returns the first tuple
-    whose cable braid closes to a knot of positive genus (Euler characteristic
-    below 1). Small solutions can close to the unknot, which would make the
-    certificate vacuous, so the genus test is part of the selection.
+    The solutions of p*s - q*r = 1 are s = p^-1 mod q plus multiples of q.
+    The selection rule: s is the least solution >= max(1, s_start), plus q
+    when that least solution is s = 1 with q = 1 or p <= 3.
+
+    Proof that the rule returns the least solution whose cable has Euler
+    characteristic chi = n - e < 1, where the cable has n = q*s strands and
+    e = q^2 r (s-1) + (q-1)((p-1)s - 1) letters:
+
+    - s >= 2: then r >= 1 and e >= q^2 r = q(ps - 1) >= q(2s - 1) > qs = n,
+      so chi < 0.
+    - s = 1: e = (q-1)(p-2) letters on q strands, so 1 - chi = (q-1)(p-3),
+      and chi < 1 fails exactly when q = 1 or p <= 3. The next solution,
+      s = 1 + q >= 2, then passes by the first case.
+    - s = 1 solves ps - qr = 1 only when q divides p - 1. With p <= 3 that
+      leaves q = 1 and the slope 3/2, whose s = 1 cables close to the
+      unknot (chi = 1).
     """
     if q < 1:
         raise ValueError("q must be at least 1 (normalize the sign into p)")
@@ -133,10 +144,8 @@ def choose_params(p: int, q: int, s_start: int = 1) -> tuple[SlopeParams, braid.
         raise ValueError(OUT_OF_RANGE_MESSAGE.format(p=p, q=q))
     s = max(1, s_start)
     s += (pow(p, -1, q) - s) % q  # the least solution: s = p^-1 mod q
-    while True:
-        r = (p * s - 1) // q
-        params = SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
-        w = braid.cable_braid(params)
-        if braid.bennequin_euler_char(w) < 1:
-            return params, w
-        s += q
+    if s == 1 and (q == 1 or p <= 3):
+        s += q  # the s = 1 cable closes to the unknot
+    r = (p * s - 1) // q
+    params = SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
+    return params, braid.cable_braid(params)

@@ -156,6 +156,21 @@ class TestTorusBraid:
         with pytest.raises(ValueError):
             torus_braid(2, 0)
 
+    def test_is_the_untwisted_one_cable(self):
+        for r in range(30):
+            for s in range(1, 12):
+                w = torus_braid(r, s)
+                assert w == BraidWord(s, tuple(range(1, s)) * r)
+                assert w == cable_word(1, r, s, 0)
+
+    def test_memory_bound(self, monkeypatch):
+        # one 8-byte slot per letter, as for any cable without twist letters
+        monkeypatch.setattr(slopecert.braid, "_MEMORY_BYTES", 8 * 6 - 1)
+        with pytest.raises(ValueError, match="^cable word of 6 letters is too long to build$"):
+            torus_braid(3, 3)
+        monkeypatch.setattr(slopecert.braid, "_MEMORY_BYTES", 8 * 6)
+        assert torus_braid(3, 3) == BraidWord(3, (1, 2) * 3)
+
 
 class TestCableBraid:
     def test_q1_returns_base_torus_braid(self):

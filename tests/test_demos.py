@@ -1,4 +1,6 @@
-"""Every script in demos/ runs to completion against this checkout's src."""
+"""Every script in demos/ runs to completion against this checkout's src.
+Each demo asserts what it prints, so a zero exit status means its claims
+hold."""
 
 import os
 import subprocess

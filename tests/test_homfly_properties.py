@@ -15,7 +15,7 @@ derandomized, so every failure reproduces.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slopecert import homfly
@@ -215,3 +215,16 @@ def test_odd_power_of_sigma_1(k):
     clear_caches()
     result = gamma_positive(BraidWord(2, (1,) * (2 * k + 1)))
     assert result.gamma_normalized == LaurentPoly({0: k + 1, 1: k})
+
+
+@PROFILE
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), letters_on(n, 14))))
+@example((2, (1, 1, 1)))
+def test_exponents_lie_in_the_morton_franks_williams_window(word):
+    # every v-degree of P lies in [e - n + 1, e + n - 1] (Morton 1986; Franks
+    # and Williams 1987), and a = -v^2, so every a-degree k has 2k there
+    n, letters = word
+    assume(max(closure_labels(n, letters)) == 0)
+    e = len(letters)
+    for k, _ in gamma_positive(BraidWord(n, letters)).gamma.items():
+        assert e - n + 1 <= 2 * k <= e + n - 1

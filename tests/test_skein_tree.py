@@ -191,6 +191,15 @@ class TestRoots:
         assert banded_double(0, 5) == unknot()
         assert double_of_cable(0, 5) == unknot()
 
+    def test_negative_clasp_count_is_rejected(self):
+        # the skein rule lowers k and stops only at 0, so expanding k < 0 never ended
+        with pytest.raises(ValueError, match=r"^double layer \('D', -1, 0\) has a negative clasp count$"):
+            banded_double(-1, 0)
+        with pytest.raises(ValueError, match=r"\('D', -2, 7\)"):
+            banded_iterated_double(1, 0, -2, 7)
+        with pytest.raises(ValueError, match=r"\('D', -3, 5\)"):
+            double_of_cable(-3, 5)
+
 
 class TestExpansion:
     def test_two_cable_linking_number(self):

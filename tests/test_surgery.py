@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slopecert.braid
 from conftest import random_gluing_tuple, random_valid_params, slope_params
 from slopecert.braid import bennequin_euler_char, cable_braid
 from slopecert.certify import certify_slope
@@ -190,3 +191,34 @@ class TestChooseParams:
             P = random_valid_params(rng)
             w = cable_braid(P)
             assert w.strands - len(w.letters) < 1
+
+    @pytest.mark.parametrize("s_start", [1, 2])
+    @pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (3, 2), (5, 2), (4, 3), (7, 3)])
+    def test_builds_only_the_cable_it_returns(self, monkeypatch, p, q, s_start):
+        built = []
+
+        def counted(params):
+            built.append(params)
+            return cable_braid(params)
+
+        def no_euler_test(w):
+            pytest.fail("choose_params ran an Euler characteristic test")
+
+        monkeypatch.setattr(slopecert.braid, "cable_braid", counted)
+        monkeypatch.setattr(slopecert.braid, "bennequin_euler_char", no_euler_test)
+        params, w = choose_params(p, q, s_start)
+        assert built == [params]
+        assert (params, w) == reference_choose_params(p, q, s_start)
+
+    @PROFILE
+    @given(st.integers(2, 40), st.integers(1, 12), st.integers(-2, 20))
+    def test_genus_route_integer_facts(self, p, q, s_start):
+        """With e letters on n strands: 1 - chi = e - n + 1 is even, the degree
+        identity holds, and qt lies above the Morton-Franks-Williams window
+        [e - n + 1, e + n - 1] exactly when p >= q + 2."""
+        assume(gcd(p, q) == 1)
+        params, w = choose_params(p, q, s_start)
+        e, n, s, t = len(w.letters), w.strands, params.s, params.t
+        assert (e - n + 1) % 2 == 0
+        assert q * t - (e - n + 1) == s * (p + q - 1) - 2 >= 1
+        assert (q * t > e + n - 1) == (p >= q + 2)
