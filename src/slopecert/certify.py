@@ -243,18 +243,14 @@ def certify_slope(
 
 
 def parse_slope(text: str) -> Tuple[int, int]:
-    """Parse 'P/Q' or a bare integer 'P' into a (p, q) pair with q >= 1."""
+    """Parse 'P/Q' or a bare integer 'P' into a (p, q) pair with q >= 1,
+    moving the sign into p; a zero denominator is an error."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty slope")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return _normalize_slope(int(num), int(den))
-    return int(text), 1
-
-
-def _normalize_slope(p: int, q: int) -> Tuple[int, int]:
-    """Move the sign of p/q into p; a zero denominator is an error."""
+    num, slash, den = text.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"invalid slope {text!r}: a slope is P/Q or an integer P") from None
     if q == 0:
         raise ValueError("slope denominator is zero")
     return (-p, -q) if q < 0 else (p, q)
@@ -301,16 +297,24 @@ def batch(
     """Certify each slope, collecting per-slope failures instead of raising.
 
     A negative slope p/q is certified as its mirror -p/q, recorded in the
-    entry's ``mirror_of``. A failure is a slope that does not parse, one
+    entry's ``mirror_of``. A failure is an item that is neither a text nor
+    a pair of ints (labelled by its repr), a slope that does not parse, one
     outside the working range, a cable too large to build, or a failed
     internal check.
     """
     report = BatchReport()
     for item in slopes:
+        if isinstance(item, str):
+            label = item.strip()
+        elif isinstance(item, (tuple, list)) and len(item) == 2 and all(type(x) is int for x in item):
+            label = "{}/{}".format(*item)
+        else:
+            error = f"{type(item).__name__} {item!r} is not a slope: give 'P/Q', 'P' or a pair of ints"
+            report.entries.append(BatchEntry(slope=repr(item), error=error))
+            continue
         try:
-            p, q = parse_slope(item) if isinstance(item, str) else _normalize_slope(*item)
+            p, q = parse_slope(label)
         except ValueError as exc:
-            label = item.strip() if isinstance(item, str) else "{}/{}".format(*item)
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
         entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)

@@ -18,7 +18,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--s-start", type=int, default=1, help="lower bound for the s search")
+    shared.add_argument(
+        "--s-start", type=int, default=1, metavar="N",
+        help="take s, the least solution of ps - qr = 1 with s >= N, plus q when that is s = 1 "
+        "and the s = 1 cable closes to the unknot",
+    )
     shared.add_argument(
         "--gamma-budget",
         type=int,

@@ -18,9 +18,10 @@ rotation is a permutation braid, a walk over descent conjugates reaches a
 word with a rotation that is not (Geck and Pfeiffer), so the square search
 always ends and the engine never calls the oracle. The skein triple at the
 square is of positive braid links and drops the letter count on both
-branches. Each rule is a step of the generator ``_gamma_node``; one
-loop, ``_gamma_rec``, runs the steps from a list of suspended nodes and alone
-reads and writes the memo, so Python's stack does not bound the depth.
+branches. Each engine's rules are a generator, ``_oracle_node`` or
+``_gamma_node``, that yields each sub-word it needs; one loop, ``_run``,
+runs both engines from a list of suspended nodes and alone reads and writes
+the memos, so Python's stack does not bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -55,11 +56,6 @@ def clear_caches() -> None:
     _gamma_memo.clear()
 
 
-def _memo_put(table: dict, key, value) -> None:
-    if len(table) < _MEMO_CAP:
-        table[key] = value
-
-
 @dataclass(frozen=True)
 class HomflyResult:
     poly: BiLaurent
@@ -72,6 +68,32 @@ class GammaResult:
     gamma_normalized: LaurentPoly
     split_components: int
     euler_char: int
+
+
+def _run(rules, memo: dict, n: int, letters: tuple):
+    """Run the steps of the generator ``rules`` for the word (n, letters):
+    only a memo miss starts a node, and a finished node's value is stored
+    under the key (n, least rotation) and sent to its parent."""
+    pending = []  # (suspended node, its memo key), innermost last
+    request = (n, letters)
+    while True:
+        key = (request[0], _min_rotation(request[1]))
+        value = memo.get(key)
+        if value is None:
+            pending.append((rules(*request), key))
+        # None starts a node; run nodes until one asks for a sub-word
+        while pending:
+            node, key = pending[-1]
+            try:
+                request = node.send(value)
+                break
+            except StopIteration as done:
+                value = done.value
+                if len(memo) < _MEMO_CAP:
+                    memo[key] = value
+                pending.pop()
+        else:  # the outermost request is answered
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -141,33 +163,24 @@ def _first_bad_crossing(n: int, letters: tuple) -> Optional[int]:
     return None
 
 
-def _oracle(n: int, letters: tuple) -> BiLaurent:
-    # Free reduction only shrinks the word, so it cannot upset the
-    # termination measure. Rotation is used purely as a memo key: rotating
-    # the word mid-recursion could raise the bad-crossing count and loop.
-    letters = _free_cyclic_reduce(letters)
-    key = (n, _min_rotation(letters))
-    cached = _oracle_memo.get(key)
-    if cached is not None:
-        return cached
+def _oracle_node(n: int, letters: tuple):
+    """The skein rules for one freely reduced word, stepped as in ``_gamma_node``:
+    switch and smooth its first bad crossing, yielding each sub-word reduced."""
     j = _first_bad_crossing(n, letters)
     if j is None:
         # the largest label is the component count less one
-        result = _DELTA ** max(closure_labels(n, letters))
-    else:
-        x = letters[j]
-        switched = letters[:j] + (-x,) + letters[j + 1 :]
-        smoothed = letters[:j] + letters[j + 1 :]
-        p_switch = _oracle(n, switched)
-        p_smooth = _oracle(n, smoothed)
-        if x > 0:
-            # current word is the positive side: P+ = v^2 P- + v z P0
-            result = p_switch.times_monomial(2, 0) + p_smooth.times_monomial(1, 1)
-        else:
-            # current word is the negative side: P- = v^-2 P+ - v^-1 z P0
-            result = p_switch.times_monomial(-2, 0) - p_smooth.times_monomial(-1, 1)
-    _memo_put(_oracle_memo, key, result)
-    return result
+        return _DELTA ** max(closure_labels(n, letters))
+    # Free reduction only shrinks the word, so it cannot upset the
+    # termination measure. Rotation is used purely as a memo key: rotating
+    # the word mid-recursion could raise the bad-crossing count and loop.
+    x = letters[j]
+    p_switch = yield n, _free_cyclic_reduce(letters[:j] + (-x,) + letters[j + 1 :])
+    p_smooth = yield n, _free_cyclic_reduce(letters[:j] + letters[j + 1 :])
+    if x > 0:
+        # current word is the positive side: P+ = v^2 P- + v z P0
+        return p_switch.times_monomial(2, 0) + p_smooth.times_monomial(1, 1)
+    # current word is the negative side: P- = v^-2 P+ - v^-1 z P0
+    return p_switch.times_monomial(-2, 0) - p_smooth.times_monomial(-1, 1)
 
 
 def homfly_oracle(w: BraidWord, budget: int = DEFAULT_ORACLE_BUDGET) -> HomflyResult:
@@ -180,7 +193,8 @@ def homfly_oracle(w: BraidWord, budget: int = DEFAULT_ORACLE_BUDGET) -> HomflyRe
         raise OracleBudgetError(
             f"oracle budget exceeded: {len(w.letters)} crossings > budget {budget}"
         )
-    return HomflyResult(poly=_oracle(w.strands, w.letters), components=closure_components(w))
+    poly = _run(_oracle_node, _oracle_memo, w.strands, _free_cyclic_reduce(w.letters))
+    return HomflyResult(poly=poly, components=closure_components(w))
 
 
 def zeroth_gamma(h: HomflyResult) -> LaurentPoly:
@@ -356,30 +370,6 @@ def _gamma_node(n: int, letters: tuple):
     return -(ALPHA * g_minus)
 
 
-def _gamma_rec(n: int, letters: tuple) -> LaurentPoly:
-    """Run ``_gamma_node`` steps: only a memo miss starts a node, and a
-    finished node's value is stored and sent to its parent."""
-    pending = []  # (suspended node, its memo key), innermost last
-    request = (n, letters)
-    while True:
-        key = (request[0], _min_rotation(request[1]))
-        value = _gamma_memo.get(key)
-        if value is None:
-            pending.append((_gamma_node(*request), key))
-        # None starts a node; run nodes until one asks for a sub-word
-        while pending:
-            node, key = pending[-1]
-            try:
-                request = node.send(value)
-                break
-            except StopIteration as done:
-                value = done.value
-                _memo_put(_gamma_memo, key, value)
-                pending.pop()
-        else:  # the outermost request is answered
-            return value
-
-
 def gamma_positive(w: BraidWord) -> GammaResult:
     """Zeroth coefficient polynomial of a positive braid closure, with its
     normalized form.
@@ -387,13 +377,13 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     The normalized polynomial divides out (a+1)^{s-1} (-a)^{(2-chi-|L|)/2},
     where s counts split factors and chi comes from the fiber-surface count
     strands - letters; the division must be exact, and for positive braid
-    closures the result has nonnegative coefficients. ``_gamma_rec`` takes
-    words of any length; only the caller's crossing budget bounds the work,
-    which grows fast with the strand count.
+    closures the result has nonnegative coefficients. The loop ``_run``,
+    which runs both engines, takes words of any length; only the caller's
+    crossing budget bounds the work, which grows fast with the strand count.
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    gamma = _gamma_rec(w.strands, w.letters)
+    gamma = _run(_gamma_node, _gamma_memo, w.strands, w.letters)
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

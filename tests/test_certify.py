@@ -210,6 +210,16 @@ class TestParseSlope:
         with pytest.raises(ValueError):
             parse_slope("")
 
+    @pytest.mark.parametrize("text", ["abc", "2.5", "10**3", "3/2/1"])
+    def test_an_unparsable_slope_is_named(self, text, capsys):
+        message = f"invalid slope {text!r}: a slope is P/Q or an integer P"
+        with pytest.raises(ValueError) as info:
+            parse_slope(text)
+        assert str(info.value) == message
+        assert main(["certify", f"--slope={text}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert batch([text]).summary_lines()[0] == f"FAIL slope {text}: {message}"
+
 
 class TestBatch:
     def test_three_good_slopes(self):
@@ -232,6 +242,15 @@ class TestBatch:
     def test_tuple_input(self):
         report = batch([(2, 1)])
         assert report.all_ok
+
+    @pytest.mark.parametrize(
+        "item, label",
+        [((3,), "(3,)"), ((3, 2, 1), "(3, 2, 1)"), (("3", "2"), "('3', '2')"), ((3.0, 2), "(3.0, 2)")],
+    )
+    def test_an_item_that_is_not_a_pair_of_ints_is_recorded(self, item, label):
+        bad, good = batch([item, (2, 1)]).entries
+        assert (bad.slope, bad.ok, good.ok) == (label, False, True)
+        assert bad.error == f"tuple {label} is not a slope: give 'P/Q', 'P' or a pair of ints"
 
     def test_tuple_slopes_normalise_like_text(self):
         def fields(report):

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_word
 from slopecert import homfly
-from slopecert.braid import BraidWord, cable_word, closure_components, total_linking
+from slopecert.braid import BraidWord, cable_word, closure_components, torus_braid, total_linking
 from slopecert.homfly import (
     DEFAULT_ORACLE_BUDGET,
     HomflyResult,
@@ -71,6 +75,23 @@ class TestOracleGroundTruth:
             homfly_oracle(long_word)
         # explicit budgets are honored
         assert homfly_oracle(long_word, budget=15).components == 1
+
+    def test_a_word_deeper_than_the_recursion_limit(self):
+        # sigma_1^401 peels one letter per level, about 400 levels deep; the
+        # driver keeps suspended nodes in a list, not on Python's stack
+        script = (
+            "import sys; sys.setrecursionlimit(120)\n"
+            "from slopecert.braid import BraidWord\n"
+            "from slopecert.homfly import gamma_positive, homfly_oracle, zeroth_gamma\n"
+            "w = BraidWord(2, (1,) * 401)\n"
+            "assert zeroth_gamma(homfly_oracle(w, budget=401)) == gamma_positive(w).gamma\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestZerothGamma:
@@ -447,6 +468,19 @@ class TestWorkIsPinned:
         clear_caches()
         gamma_positive(w)
         assert len(homfly._gamma_memo) == entries
+
+    @pytest.mark.parametrize(
+        "w, entries",
+        [
+            (BraidWord.parse("3: 1 -2 1 -2"), 9),
+            (torus_braid(5, 3), 43),
+            (BraidWord(4, (1, 2, 3) * 4), 141),
+        ],
+    )
+    def test_cold_oracle_memo_size(self, w, entries):
+        clear_caches()
+        homfly_oracle(w)
+        assert len(homfly._oracle_memo) == entries
 
 
 class TestMemoCap:

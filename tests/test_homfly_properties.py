@@ -22,7 +22,6 @@ from slopecert import homfly
 from slopecert.braid import BraidWord, closure_labels
 from slopecert.homfly import (
     _find_square,
-    _memo_put,
     _min_rotation,
     _split_word,
     _unlink_gamma,
@@ -137,6 +136,11 @@ def test_min_rotation_of_constant_words(x, k):
     assert_least_rotation((x,) * k)
 
 
+def memo_put(key, value):
+    if len(homfly._gamma_memo) < homfly._MEMO_CAP:
+        homfly._gamma_memo[key] = value
+
+
 def reference_gamma_rec(n, letters):
     """The recursive evaluator that the driver loop replaced: the same
     rules, memo reads and memo writes, on the call stack."""
@@ -147,7 +151,7 @@ def reference_gamma_rec(n, letters):
 
     if not letters:
         result = _unlink_gamma(n)
-        _memo_put(homfly._gamma_memo, key, result)
+        memo_put(key, result)
         return result
 
     counts = [0] * n
@@ -182,7 +186,7 @@ def reference_gamma_rec(n, letters):
         else:
             result = -(ALPHA * g_minus)
 
-    _memo_put(homfly._gamma_memo, key, result)
+    memo_put(key, result)
     return result
 
 
@@ -228,3 +232,26 @@ def test_exponents_lie_in_the_morton_franks_williams_window(word):
     e = len(letters)
     for k, _ in gamma_positive(BraidWord(n, letters)).gamma.items():
         assert e - n + 1 <= 2 * k <= e + n - 1
+
+
+@st.composite
+def positive_links(draw):
+    """(strands, letters) for a positive word of at most 14 letters on 1-6
+    strands; a generator that is missing makes a split link."""
+    n = draw(st.integers(1, 6))
+    return n, draw(letters_on(n, 14)) if n > 1 else ()
+
+
+@PROFILE
+@given(positive_links())
+@example((1, ()))
+@example((3, (1, 1, 2, 2)))
+@example((4, (1, 1, 3, 3, 3)))
+def test_normalized_gamma_has_a_positive_constant_term(word):
+    # ROADMAP item 1 stage 2's lemma, tested and not yet proved: on every
+    # positive braid link, split ones included, the normalised polynomial
+    # lies in Z[a] and takes a value of at least 1 at a = 0
+    n, letters = word
+    normalized = gamma_positive(BraidWord(n, letters)).gamma_normalized
+    assert all(k >= 0 for k, _ in normalized.items())
+    assert dict(normalized.items()).get(0, 0) >= 1
