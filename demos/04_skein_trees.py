@@ -8,12 +8,12 @@ repeat many patterns, so both are expanded and evaluated as one DAG, each
 distinct pattern once. The two resulting polynomials differ by a product
 that can only vanish if C's polynomial were a unit.
 
-That a non-trivial positive braid knot never has a unit polynomial is an
-unproved assumption, checked empirically. The genus route needs less: that
-C's polynomial squared is not (-a)^{qt}. The Morton-Franks-Williams degree
-bound proves that when p >= q + 2, and parity when qt is odd; the other
-genus-route slopes rest on the assumption. The direct route does not use
-it: it computes the cable polynomial and checks that it is not a unit.
+The genus route needs only that C's polynomial squared is not (-a)^{qt}.
+A lemma proved in gamma_positive's docstring puts the lowest term of a
+positive braid knot's polynomial at a^g, for g its genus, so that square
+would need qt = 2g, which the cable's letter and strand counts rule out:
+no certificate rests on an assumption. The direct route computes the cable
+polynomial and checks that it is not a unit.
 """
 
 from slopecert import (
@@ -38,21 +38,22 @@ def internal_nodes(tree):
 params = SlopeParams(p=3, q=2, r=4, s=3, t=21)
 
 q, r, t = params.q, params.r, params.t
-nodes, values = {}, {}  # one node and one value per distinct pattern
+nodes = {}  # one node, evaluated as it is made, per distinct pattern
 tree = expand(kb_root(q, t), q, r, nodes)
 print("skein/linking tree of the first knot (boxed numbers are linking numbers):")
 print(format_tree(tree))
 
-kb = eval_tree(tree, values)
+kb = eval_tree(tree)
 kg_tree = expand(kg_root(q, t), q, r, nodes)
-kg = eval_tree(kg_tree, values)
+kg = eval_tree(kg_tree)
 print()
 print("first polynomial :", kb)
 print()
 print("second polynomial:", kg)
 print()
+distinct = sum(node.kind != "leaf" for node in nodes.values())
 print(f"skein and linking nodes: {internal_nodes(tree) + internal_nodes(kg_tree)} in the two trees,"
-      f" {len(values)} distinct, each evaluated once")
+      f" {distinct} distinct, each evaluated once")
 
 print()
 agree = kb == closed_form_kb(q, r, t) and kg == closed_form_kg(q, r, t)

@@ -133,6 +133,15 @@ def _bundle_swap(base_index: int, q: int) -> tuple:
     return tuple(out)
 
 
+def _count_text(n: int) -> str:
+    """``str(n)``, or a lower bound when n has more digits than int-to-text
+    conversion allows (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
+
+
 def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     """Blackboard q-cabling of the (r, s) torus braid plus ``twists`` copies
     of the q-strand root-twist block (sigma_1 ... sigma_{q-1}).
@@ -156,7 +165,7 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     # and the joined word are alive together, so the build holds two slots
     slots = 2 if q > 1 and twists else 1
     if length * slots * 8 > _MEMORY_BYTES:
-        raise ValueError(f"cable word of {length} letters is too long to build")
+        raise ValueError(f"cable word of {_count_text(length)} letters is too long to build")
     try:
         period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
         return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)

@@ -8,13 +8,11 @@ symbolic polynomials differ. Two independent justifications exist:
 - genus route (always on): the cable closes to a knot of positive genus.
   The difference, with C set to the cable's zeroth coefficient polynomial
   C(R), vanishes exactly when C(R)^2 = (-a)^{qt}, so that is all the
-  certificate must exclude. With e letters on n strands, every a-degree k
-  of C(R) has e - n + 1 <= 2k <= e + n - 1 (the Morton-Franks-Williams
-  bound), and qt - (e - n + 1) = s(p + q - 1) - 2; so qt lies above that
-  window whenever p >= q + 2. When qt is odd, no monomial squares to
-  (-a)^{qt}. The other slopes rest on an unproved assumption, checked
-  empirically in the test suite: a non-trivial positive braid knot never
-  has a unit zeroth coefficient polynomial;
+  certificate must exclude. With e letters on n strands, the lemma proved
+  in ``gamma_positive`` makes that need qt = e - n + 1 (twice the genus),
+  but qt - (e - n + 1) = s(p + q - 1) - 2 >= 1 on every cable
+  ``choose_params`` returns. So no certificate rests on an assumption; the
+  Morton-Franks-Williams bound alone settles p >= q + 2, and parity odd qt;
 - direct route (budget-gated): actually compute the cable polynomial and
   test unit-ness, which large cables make too expensive.
 
@@ -196,10 +194,10 @@ def certify_slope(
     kb = closed_form_kb(q, r, t)
     kg = closed_form_kg(q, r, t)
     # the two trees are one DAG: each distinct pattern of this slope is
-    # expanded and evaluated once, and both memos end with this call
-    nodes, values = {}, {}
-    _check(eval_tree(expand(kb_root(q, t), q, r, nodes), values) == kb, "first tree != closed form")
-    _check(eval_tree(expand(kg_root(q, t), q, r, nodes), values) == kg, "second tree != closed form")
+    # expanded and evaluated once, and the memo ends with this call
+    nodes = {}
+    _check(eval_tree(expand(kb_root(q, t), q, r, nodes)) == kb, "first tree != closed form")
+    _check(eval_tree(expand(kg_root(q, t), q, r, nodes)) == kg, "second tree != closed form")
     diff = difference(q, r, t)
     _check(kb - kg == diff, "difference identity fails")
     _check(kb.evaluate_alpha(-1) == {(0, 0): 1}, "kb normalization at a = -1 fails")
@@ -288,6 +286,18 @@ class BatchReport:
         return lines
 
 
+def _text(item) -> str:
+    """``repr(item)``, writing an int with more digits than int-to-text
+    conversion allows (alone or in a tuple) by its bit length, and any
+    other item whose repr fails by its type."""
+    if type(item) is tuple:
+        return "(" + ", ".join(map(_text, item)) + ("," if len(item) == 1 else "") + ")"
+    try:
+        return repr(item)
+    except ValueError:
+        return f"<int of {item.bit_length()} bits>" if type(item) is int else f"<{type(item).__name__}>"
+
+
 def batch(
     slopes: Iterable[Union[str, Tuple[int, int]]],
     s_start: int = 1,
@@ -298,23 +308,24 @@ def batch(
 
     A negative slope p/q is certified as its mirror -p/q, recorded in the
     entry's ``mirror_of``. A failure is an item that is neither a text nor
-    a pair of ints (labelled by its repr), a slope that does not parse, one
-    outside the working range, a cable too large to build, or a failed
-    internal check.
+    a pair of ints (labelled by its repr), a pair holding an int too long to
+    write as text (labelled by its bit length), a slope that does not parse,
+    one outside the working range, a cable too large to build, an engine
+    out of memory, or a failed internal check.
     """
     report = BatchReport()
     for item in slopes:
-        if isinstance(item, str):
-            label = item.strip()
-        elif isinstance(item, (tuple, list)) and len(item) == 2 and all(type(x) is int for x in item):
-            label = "{}/{}".format(*item)
-        else:
-            error = f"{type(item).__name__} {item!r} is not a slope: give 'P/Q', 'P' or a pair of ints"
-            report.entries.append(BatchEntry(slope=repr(item), error=error))
+        pair = isinstance(item, (tuple, list)) and len(item) == 2 and all(type(x) is int for x in item)
+        if not (pair or isinstance(item, str)):
+            text = _text(item)
+            error = f"{type(item).__name__} {text} is not a slope: give 'P/Q', 'P' or a pair of ints"
+            report.entries.append(BatchEntry(slope=text, error=error))
             continue
         try:
-            p, q = parse_slope(label)
+            # an int with more digits than int-to-text conversion allows fails here
+            p, q = parse_slope("{}/{}".format(*item) if pair else item)
         except ValueError as exc:
+            label = "{}/{}".format(*map(_text, item)) if pair else item.strip()
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
         entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)

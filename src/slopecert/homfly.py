@@ -73,27 +73,35 @@ class GammaResult:
 def _run(rules, memo: dict, n: int, letters: tuple):
     """Run the steps of the generator ``rules`` for the word (n, letters):
     only a memo miss starts a node, and a finished node's value is stored
-    under the key (n, least rotation) and sent to its parent."""
+    under the key (n, least rotation) and sent to its parent.
+
+    Out of memory, it empties ``memo``, the table that filled it, before the
+    MemoryError leaves: unwinding with memory still full can lose the error
+    and raise SystemError instead."""
     pending = []  # (suspended node, its memo key), innermost last
     request = (n, letters)
-    while True:
-        key = (request[0], _min_rotation(request[1]))
-        value = memo.get(key)
-        if value is None:
-            pending.append((rules(*request), key))
-        # None starts a node; run nodes until one asks for a sub-word
-        while pending:
-            node, key = pending[-1]
-            try:
-                request = node.send(value)
-                break
-            except StopIteration as done:
-                value = done.value
-                if len(memo) < _MEMO_CAP:
-                    memo[key] = value
-                pending.pop()
-        else:  # the outermost request is answered
-            return value
+    try:
+        while True:
+            key = (request[0], _min_rotation(request[1]))
+            value = memo.get(key)
+            if value is None:
+                pending.append((rules(*request), key))
+            # None starts a node; run nodes until one asks for a sub-word
+            while pending:
+                node, key = pending[-1]
+                try:
+                    request = node.send(value)
+                    break
+                except StopIteration as done:
+                    value = done.value
+                    if len(memo) < _MEMO_CAP:
+                        memo[key] = value
+                    pending.pop()
+            else:  # the outermost request is answered
+                return value
+    except MemoryError:
+        memo.clear()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +382,50 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     """Zeroth coefficient polynomial of a positive braid closure, with its
     normalized form.
 
-    The normalized polynomial divides out (a+1)^{s-1} (-a)^{(2-chi-|L|)/2},
-    where s counts split factors and chi comes from the fiber-surface count
-    strands - letters; the division must be exact, and for positive braid
-    closures the result has nonnegative coefficients. The loop ``_run``,
-    which runs both engines, takes words of any length; only the caller's
-    crossing budget bounds the work, which grows fast with the strand count.
+    For a word of e letters on n strands whose closure has c components,
+    the normalized polynomial is N = gamma / ((a+1)^{s-1} (-a)^h), where
+    s = n - (number of distinct generators) counts split factors and
+    h = (e - n + 2 - c)/2, a whole number since chi = n - e has the parity
+    of c. The loop ``_run``, which runs both engines, takes words of any
+    length; only the caller's crossing budget bounds the work, which grows
+    fast with the strand count. Out of memory, this raises ValueError.
+
+    Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
+    Proof, by induction on e + n, along the identities that the rules of
+    ``_gamma_node`` apply; each rule takes gamma of the word from gamma of
+    words with a smaller e + n.
+    - The empty word: gamma = (-1)^{n-1} (1 + a^-1)^{n-1}, s = n and
+      h = 1 - n, so N = 1.
+    - A split at g, which does not occur: the two factors have
+      n1 + n2 = n strands, e1 + e2 = e letters and c1 + c2 = c components,
+      so s = s1 + s2 and h = h1 + h2 - 1. As gamma = -(1 + a^-1) gamma1
+      gamma2 and -(1 + a^-1) = (a+1)/(-a), N = N1 N2.
+    - A connected sum at g, which occurs once: e = e1 + e2 + 1,
+      c = c1 + c2 - 1 and s = s1 + s2 - 1, so h = h1 + h2. As
+      gamma = gamma1 gamma2, N = N1 N2.
+    - The square: every generator occurs at least twice, so s = 1. The
+      conjugate g g R has the closure, e and c of the word. R has e - 2
+      letters and c components, so h(R) = h - 1; when strands g-1 and g of
+      R lie on one component, g R has e - 1 letters and c + 1 components,
+      so h(g R) = h - 1 as well. As gamma = -a (gamma(R) + [that case]
+      gamma(g R)), N = (a+1)^{s(R)-1} N(R) + [that case] (a+1)^{s(g R)-1}
+      N(g R), where s(R), s(g R) >= 1.
+    Sums and products of polynomials in Z[a] with nonnegative coefficients
+    keep them, (a+1)^k has constant term 1, and in each case the constant
+    term of N is at least one product of constant terms of at least 1.
+
+    For a knot, s = 1 and h is the genus g, so gamma = (-a)^g N and the
+    lowest term of gamma^2 is N(0)^2 a^{2g}: gamma^2 = +-(-a)^m needs
+    m = 2g.
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
-    gamma = _run(_gamma_node, _gamma_memo, w.strands, w.letters)
+    try:
+        gamma = _run(_gamma_node, _gamma_memo, w.strands, w.letters)
+    except MemoryError:
+        raise ValueError(
+            f"gamma_positive: out of memory on a word of {len(w.letters)} letters on {w.strands} strands"
+        ) from None
     s = split_factors(w)
     chi = bennequin_euler_char(w)
     comps = closure_components(w)

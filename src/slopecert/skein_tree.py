@@ -19,9 +19,9 @@ layer kind:
   number lk.
 
 This module builds the trees by rewriting, with one node per distinct
-pattern, evaluates them exactly over Z[a^{+-1}][H, C], and cross-checks
-against closed-form products and the factorized difference of the two
-polynomials.
+pattern, evaluates each node exactly over Z[a^{+-1}][H, C] as it builds
+it, and cross-checks against closed-form products and the factorized
+difference of the two polynomials.
 """
 
 from __future__ import annotations
@@ -116,12 +116,13 @@ def two_cable_of_cable(m: int) -> PatternExpr:
 
 @dataclass(frozen=True, eq=False)
 class SkeinTree:
-    """A node of an expanded tree. Nodes compare and hash by identity: an
-    expansion gives each distinct pattern one node, which every parent of
-    that pattern shares."""
+    """A node of an expanded tree and its exact value in Z[a^{+-1}][H, C].
+    Nodes compare and hash by identity: an expansion gives each distinct
+    pattern one node, which every parent of that pattern shares."""
 
     expr: PatternExpr
     kind: str  # "leaf" | "skein" | "linking"
+    value: SkeinElem
     children: Tuple["SkeinTree", ...] = ()
     lk: Optional[int] = None
 
@@ -138,20 +139,22 @@ def kg_root(q: int, t: int) -> PatternExpr:
 
 
 def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> SkeinTree:
-    """Expand a pattern expression to its tree, one rule per layer kind;
-    only the product q*r enters (through the linking number of the band
-    knot with the cable).
+    """Expand a pattern expression to its tree, one rule per layer kind,
+    and evaluate each node as it is made from its children's values; only
+    the product q*r enters (through the linking number of the band knot
+    with the cable).
 
     Equal patterns get one node, so the tree is a DAG and each distinct
-    pattern is expanded once. ``memo`` maps the patterns expanded so far to
-    their nodes; calls with the same q*r that pass one dict share nodes."""
+    pattern is expanded and evaluated once. ``memo`` maps the patterns
+    expanded so far to their nodes; calls with the same q*r that pass one
+    dict share nodes."""
     if memo is None:
         memo = {}
     node = memo.get(expr)
     if node is not None:
         return node
     if not expr.layers:
-        node = SkeinTree(expr, "leaf")
+        node = SkeinTree(expr, "leaf", _LEAVES[expr.base])
     else:
         base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
         if outer[0] == "D":
@@ -160,41 +163,25 @@ def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> Sk
             _, k, m = outer
             left = expand(_pattern(base, ("D", k - 1, m), *inner), q, r, memo)
             right = expand(_pattern(base, ("Cbar", m), *inner), q, r, memo)
-            node = SkeinTree(expr, "skein", (left, right))
+            value = _SKEIN_FACTOR * (left.value + right.value)
+            node = SkeinTree(expr, "skein", value, (left, right))
         else:
             # Cbar_{2m,2} o X splits into X on the base and X on the cable;
             # only the band knot itself links the cable, as a double has
             # winding number 0
             m = outer[1]
             lk = q * r - m if base == "H" and not inner else -m
-            children = (expand(_pattern(base, *inner), q, r, memo), expand(_pattern("C", *inner), q, r, memo))
-            node = SkeinTree(expr, "linking", children, lk=lk)
+            x, y = expand(_pattern(base, *inner), q, r, memo), expand(_pattern("C", *inner), q, r, memo)
+            value = SkeinElem.scalar(-(ONE_PLUS_INV_ALPHA * neg_alpha_pow(lk))) * x.value * y.value
+            node = SkeinTree(expr, "linking", value, (x, y), lk=lk)
     memo[expr] = node
     return node
 
 
-def eval_tree(tree: SkeinTree, memo: Optional[dict] = None) -> SkeinElem:
-    """Bottom-up exact evaluation in Z[a^{+-1}][H, C], each node once.
-
-    ``memo`` maps the nodes evaluated so far to their values; calls that
-    pass one dict share the values of the nodes their trees share."""
-    if tree.kind == "leaf":
-        return _LEAVES[tree.expr.base]
-    if memo is None:
-        memo = {}
-    value = memo.get(tree)
-    if value is not None:
-        return value
-    values = [eval_tree(child, memo) for child in tree.children]
-    if tree.kind == "skein":
-        value = _SKEIN_FACTOR * (values[0] + values[1])
-    elif tree.kind == "linking":
-        weight = -(ONE_PLUS_INV_ALPHA * neg_alpha_pow(tree.lk))
-        value = SkeinElem.scalar(weight) * values[0] * values[1]
-    else:
-        raise ValueError(f"unknown tree kind {tree.kind!r}")
-    memo[tree] = value
-    return value
+def eval_tree(tree: SkeinTree) -> SkeinElem:
+    """The exact value of ``tree`` in Z[a^{+-1}][H, C], which ``expand``
+    computed as it made the node."""
+    return tree.value
 
 
 def format_tree(tree: SkeinTree, indent: int = 0) -> str:

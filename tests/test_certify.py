@@ -38,6 +38,27 @@ def cable_out_of_memory(monkeypatch):
 
 
 @pytest.fixture
+def engine_out_of_memory(monkeypatch):
+    """The fast engine's rule raises MemoryError, without allocating, on an
+    empty memo but for one unrelated entry; returns that memo."""
+
+    def no_memory(n, letters):
+        raise MemoryError
+
+    memo = {(1, ()): None}
+    monkeypatch.setattr(slopecert.homfly, "_gamma_node", no_memory)
+    monkeypatch.setattr(slopecert.homfly, "_gamma_memo", memo)
+    return memo
+
+
+# the tests that use it write ints of more than 4,300 digits
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="int-to-text conversion does not have its default limit of 4,300 digits",
+)
+
+
+@pytest.fixture
 def kg_closed_form_off(monkeypatch):
     """closed_form_kg returns a changed value, so the second tree check fails."""
     real = slopecert.certify.closed_form_kg
@@ -289,6 +310,27 @@ class TestBatch:
             "FAIL slope 3/2: cable_braid: out of memory building a cable word of 37 letters"
         )
 
+    def test_out_of_memory_in_the_engine_is_recorded(self, engine_out_of_memory):
+        report = batch(["3/2", "2/1"], gamma_budget=40)
+        assert report.summary_lines()[0] == (
+            "FAIL slope 3/2: gamma_positive: out of memory on a word of 37 letters on 6 strands"
+        )
+        # the batch goes on, and the memo that filled memory is emptied
+        assert report.summary_lines()[1] == (
+            "FAIL slope 2/1: gamma_positive: out of memory on a word of 3 letters on 2 strands"
+        )
+        assert engine_out_of_memory == {}
+
+    @needs_digit_limit
+    def test_an_int_too_long_to_write_is_recorded(self):
+        big = 10**5000
+        pair, single, good = batch([(big, 7), (big,), (2, 1)]).entries
+        assert (pair.slope, pair.ok) == ("<int of 16610 bits>/7", False)
+        assert "4300 digits" in pair.error
+        assert (single.slope, single.ok) == ("(<int of 16610 bits>,)", False)
+        assert single.error == "tuple (<int of 16610 bits>,) is not a slope: give 'P/Q', 'P' or a pair of ints"
+        assert good.ok
+
     def test_a_failed_check_is_recorded(self, kg_closed_form_off):
         report = batch(["2/1"])
         assert report.summary_lines()[0] == "FAIL slope 2/1: second tree != closed form"
@@ -372,6 +414,20 @@ class TestCli:
         assert err.rstrip() == (
             "error: cable_braid: out of memory building a cable word of 6006001 letters"
         )
+
+    def test_out_of_memory_in_the_engine_is_an_error_line(self, engine_out_of_memory, capsys):
+        assert main(["certify", "--slope", "3/2", "--gamma-budget", "40"]) == 1
+        assert capsys.readouterr().err == (
+            "error: gamma_positive: out of memory on a word of 37 letters on 6 strands\n"
+        )
+
+    @needs_digit_limit
+    def test_a_letter_count_too_long_to_write_is_too_long_to_build(self, capsys):
+        # the cable of 2/(10**3001 + 1) has more than 4,300 digits of letters
+        assert main(["certify", "--slope", "2/1" + "0" * 3000 + "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cable word of at least 2**")
+        assert err.rstrip().endswith("letters is too long to build")
 
     def test_a_failed_check_is_an_error_line(self, kg_closed_form_off, capsys):
         assert main(["certify", "--slope", "2/1"]) == 1

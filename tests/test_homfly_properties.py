@@ -248,9 +248,9 @@ def positive_links(draw):
 @example((3, (1, 1, 2, 2)))
 @example((4, (1, 1, 3, 3, 3)))
 def test_normalized_gamma_has_a_positive_constant_term(word):
-    # ROADMAP item 1 stage 2's lemma, tested and not yet proved: on every
-    # positive braid link, split ones included, the normalised polynomial
-    # lies in Z[a] and takes a value of at least 1 at a = 0
+    # the lemma that gamma_positive's docstring proves: on every positive
+    # braid link, split ones included, the normalised polynomial lies in
+    # Z[a] and takes a value of at least 1 at a = 0
     n, letters = word
     normalized = gamma_positive(BraidWord(n, letters)).gamma_normalized
     assert all(k >= 0 for k, _ in normalized.items())

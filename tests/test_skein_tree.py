@@ -239,24 +239,34 @@ class TestSharing:
     @example(0, 0, 0, [])
     @example(Q, R, T, [banded_two_cable(Q * T), double_of_cable(2, -Q * T)])
     def test_shared_dag_equals_unshared_reference(self, q, r, t, drawn):
-        nodes, values = {}, {}
+        nodes = {}
         for expr in (kb_root(q, t), kg_root(q, t), *drawn):
             expected = reference_value(expr, q, r)
             assert eval_tree(expand(expr, q, r)) == expected
-            assert eval_tree(expand(expr, q, r, nodes), values) == expected
+            assert eval_tree(expand(expr, q, r, nodes)) == expected
+
+    @PROFILE
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-50, 50), st.lists(patterns, max_size=4))
+    @example(Q, R, T, [banded_two_cable(Q * T), double_of_cable(2, -Q * T)])
+    def test_every_node_holds_its_value(self, q, r, t, drawn):
+        nodes = {}
+        for expr in (kb_root(q, t), kg_root(q, t), *drawn):
+            expand(expr, q, r, nodes)
+        for expr, node in nodes.items():
+            assert node.expr == expr
+            assert node.value == reference_value(expr, q, r)
 
     @pytest.mark.parametrize("slope", [(3, 2), (7, 2), (101, 2), (37, 11)])
     def test_one_slope_evaluates_half_its_nodes(self, slope):
         params, _ = choose_params(*slope)
         q, r, t = params.q, params.r, params.t
-        nodes, values = {}, {}
+        nodes = {}
         kb = expand(kb_root(q, t), q, r, nodes)
         kg = expand(kg_root(q, t), q, r, nodes)
         assert internal_nodes(kb) + internal_nodes(kg) == 22
         assert distinct_internal_nodes(kb, kg) == 11
-        eval_tree(kb, values)
-        eval_tree(kg, values)
-        assert len(values) == 11
+        # each node is evaluated once, as expand makes it
+        assert sum(node.kind != "leaf" for node in nodes.values()) == 11
 
     def test_equal_patterns_get_one_node(self):
         tree = expand(kb_root(Q, T), Q, R)
