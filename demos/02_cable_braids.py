@@ -10,20 +10,19 @@ solution gives a genuinely knotted positive braid, so the selector builds
 only the cable it returns.
 """
 
-from slopecert import bennequin_euler_char, cable_braid, choose_params, closure_components, closure_info
+from slopecert import bennequin_euler_char, cable_braid, choose_params, closure_components
 
 for p, q in ((2, 1), (3, 1), (3, 2), (5, 2)):
     params, w = choose_params(p, q)
-    info = closure_info(w)
+    chi = bennequin_euler_char(w)
     print(f"slope {p}/{q}: completion (r, s, t) = ({params.r}, {params.s}, {params.t})")
     print(f"  cable braid: {w}")
     print(
         f"  {w.strands} strands, {len(w.letters)} positive letters,"
-        f" components = {closure_components(w)}, chi = {info.euler_char}, genus = {info.genus}"
+        f" components = {closure_components(w)}, chi = {chi}, genus = {(1 - chi) // 2}"
     )
-    assert closure_components(w) == info.components == 1
-    assert info.euler_char < 1
-    assert info.genus == (1 - info.euler_char) // 2
+    assert closure_components(w) == 1
+    assert chi < 1
 
 print()
 print("why the progression matters: for 3/2 the first solution s = 1 gives an")

@@ -22,7 +22,6 @@ from .braid import (
     cable_braid,
     cable_word,
     closure_components,
-    closure_info,
     torus_braid,
     total_linking,
 )

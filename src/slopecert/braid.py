@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .surgery import SlopeParams
@@ -65,13 +65,6 @@ class BraidWord:
         n = int(head.strip())
         letters = tuple(int(tok) for tok in tail.split())
         return cls(n, letters)
-
-
-@dataclass(frozen=True)
-class ClosureInfo:
-    components: int
-    euler_char: int
-    genus: Optional[int]  # only defined for knot closures
 
 
 def closure_labels(n: int, letters) -> list:
@@ -202,12 +195,3 @@ def bennequin_euler_char(w: BraidWord) -> int:
     if not w.is_positive:
         raise ValueError("Euler characteristic formula needs a positive word")
     return w.strands - len(w.letters)
-
-
-def closure_info(w: BraidWord) -> ClosureInfo:
-    """Component count, Euler characteristic and (for knots) genus of the
-    closure of a positive word."""
-    comps = closure_components(w)
-    chi = bennequin_euler_char(w)
-    genus = (1 - chi) // 2 if comps == 1 else None
-    return ClosureInfo(components=comps, euler_char=chi, genus=genus)

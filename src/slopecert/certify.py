@@ -22,6 +22,8 @@ identity failure raises instead of producing a bad certificate.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
@@ -240,15 +242,32 @@ def certify_slope(
     )
 
 
+_INTEGER = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # an int() literal; group 1 is its digit groups
+
+
+def _clip(text: str, show=str) -> str:
+    """``show(text)``, or ``show`` of its first 32 characters and its length."""
+    return show(text) if len(text) <= 32 else f"{show(text[:32])}... ({len(text)} characters)"
+
+
 def parse_slope(text: str) -> Tuple[int, int]:
     """Parse 'P/Q' or a bare integer 'P' into a (p, q) pair with q >= 1,
-    moving the sign into p; a zero denominator is an error."""
+    moving the sign into p; a zero denominator is an error. An error quotes
+    a long text by its start, and names the part (the numerator if both)
+    with more digits than Python's int() limit."""
     text = text.strip()
     num, slash, den = text.partition("/")
     try:
         p, q = int(num), int(den) if slash else 1
     except ValueError:
-        raise ValueError(f"invalid slope {text!r}: a slope is P/Q or an integer P") from None
+        reason = "a slope is P/Q or an integer P"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for name, part in (("denominator", den), ("numerator", num)):
+            match = _INTEGER.fullmatch(part)
+            n = len(match[1].replace("_", "")) if match else 0
+            if 0 < limit < n:
+                reason = f"its {name} has {n} digits, more than Python's int() limit of {limit}"
+        raise ValueError(f"invalid slope {_clip(text, repr)}: {reason}") from None
     if q == 0:
         raise ValueError("slope denominator is zero")
     return (-p, -q) if q < 0 else (p, q)
@@ -325,7 +344,7 @@ def batch(
             # an int with more digits than int-to-text conversion allows fails here
             p, q = parse_slope("{}/{}".format(*item) if pair else item)
         except ValueError as exc:
-            label = "{}/{}".format(*map(_text, item)) if pair else item.strip()
+            label = "{}/{}".format(*map(_text, item)) if pair else _clip(item.strip())
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
         entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)

@@ -66,8 +66,6 @@ class HomflyResult:
 class GammaResult:
     gamma: LaurentPoly
     gamma_normalized: LaurentPoly
-    split_components: int
-    euler_char: int
 
 
 def _run(rules, memo: dict, n: int, letters: tuple):
@@ -432,9 +430,4 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     half = (2 - chi - comps) // 2  # exact: chi has the parity of comps
     denom = (LaurentPoly({0: 1, 1: 1}) ** (s - 1)) * neg_alpha_pow(half)
     normalized = gamma.divexact(denom)
-    return GammaResult(
-        gamma=gamma,
-        gamma_normalized=normalized,
-        split_components=s,
-        euler_char=chi,
-    )
+    return GammaResult(gamma=gamma, gamma_normalized=normalized)

@@ -43,6 +43,13 @@ def _gather(items, out: Optional[dict] = None) -> dict:
     return out
 
 
+def _ints(entry) -> tuple:
+    """The fields of a JSON entry, each an int (a bool is not one)."""
+    if not all(type(x) is int for x in entry):
+        raise ValueError(f"{entry!r}: every field must be an int")
+    return tuple(entry)
+
+
 def _add_pairs(k1: tuple, k2: tuple) -> tuple:
     return (k1[0] + k2[0], k1[1] + k2[1])
 
@@ -56,7 +63,7 @@ class _Sparse:
     arithmetic returns new objects.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
     _UNIT: object
     _SCALARS: tuple
     _add_keys: Callable
@@ -66,14 +73,12 @@ class _Sparse:
             self._terms = {}
         else:
             self._terms = _gather(terms.items() if isinstance(terms, Mapping) else terms)
-        self._hash = None
 
     @classmethod
     def _wrap(cls: type[_R], terms: dict) -> _R:
         """Adopt an already gathered dict without copying or checking it."""
         out = cls.__new__(cls)
         out._terms = terms
-        out._hash = None
         return out
 
     @classmethod
@@ -155,13 +160,10 @@ class _Sparse:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            if self._terms.keys() <= {self._UNIT}:
-                # zero or a constant: equal to its scalar, so hash as it
-                self._hash = hash(self._terms.get(self._UNIT, 0))
-            else:
-                self._hash = hash(tuple(self.items()))
-        return self._hash
+        if self._terms.keys() <= {self._UNIT}:
+            # zero or a constant: equal to its scalar, so hash as it
+            return hash(self._terms.get(self._UNIT, 0))
+        return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -255,7 +257,7 @@ class LaurentPoly(_Sparse):
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls((int(e), int(c)) for e, c in pairs)
+        return cls(_ints(pair) for pair in pairs)
 
 
 ALPHA = LaurentPoly({1: 1})
@@ -361,4 +363,4 @@ class SkeinElem(_Sparse):
 
     @classmethod
     def from_rows(cls, rows) -> "SkeinElem":
-        return cls({(int(h), int(c)): LaurentPoly.from_pairs(p) for h, c, p in rows})
+        return cls({_ints((h, c)): LaurentPoly.from_pairs(p) for h, c, p in rows})

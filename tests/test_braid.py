@@ -13,7 +13,6 @@ from slopecert.braid import (
     cable_braid,
     cable_word,
     closure_components,
-    closure_info,
     closure_labels,
     torus_braid,
     total_linking,
@@ -225,19 +224,20 @@ class TestCableBraid:
 
 class TestBennequin:
     def test_trefoil(self):
-        assert bennequin_euler_char(BraidWord(2, (1, 1, 1))) == -1
-        info = closure_info(BraidWord(2, (1, 1, 1)))
-        assert (info.components, info.euler_char, info.genus) == (1, -1, 1)
+        w = BraidWord(2, (1, 1, 1))
+        chi = bennequin_euler_char(w)
+        assert (closure_components(w), chi, (1 - chi) // 2) == (1, -1, 1)
 
     def test_unknot_disk(self):
-        info = closure_info(BraidWord(1, ()))
-        assert (info.euler_char, info.genus) == (1, 0)
+        w = BraidWord(1, ())
+        chi = bennequin_euler_char(w)
+        assert (closure_components(w), chi, (1 - chi) // 2) == (1, 1, 0)
 
     def test_cable_genus(self):
         P = SlopeParams(p=3, q=2, r=4, s=3, t=21)
         w = cable_braid(P)
-        assert bennequin_euler_char(w) == -31
-        assert closure_info(w).genus == 16
+        chi = bennequin_euler_char(w)
+        assert (closure_components(w), chi, (1 - chi) // 2) == (1, -31, 16)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -328,7 +328,7 @@ class TestClosureLabels:
     @given(words())
     def test_length_has_the_parity_of_strands_minus_components(self, word):
         # each letter is a transposition, so 1 - chi is even for a knot
-        # closure: certify_slope, closure_info and gamma_positive rely on it
+        # closure: certify_slope and gamma_positive rely on it
         n, letters = word
         components = closure_components(BraidWord(n, letters))
         assert (len(letters) - n + components) % 2 == 0

@@ -241,6 +241,46 @@ class TestParseSlope:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert batch([text]).summary_lines()[0] == f"FAIL slope {text}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, slope",
+        [("1_000/7", (1000, 7)), ("+5/2", (5, 2)), ("3 /2", (3, 2)), (" -3 / -2 ", (3, 2))],
+        ids=["grouped", "plus", "space", "signs"],
+    )
+    def test_int_literal_forms_parse(self, text, slope):
+        assert parse_slope(text) == slope
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "text, part, digits",
+        [
+            ("2/1" + "0" * 4400 + "1", "denominator", 4402),
+            ("1" + "_0" * 4400 + "/3", "numerator", 4401),
+            ("1" * 4301 + "/" + "2" * 4302, "numerator", 4301),
+        ],
+        ids=["denominator", "grouped-numerator", "both"],
+    )
+    def test_a_part_past_the_digit_limit_is_named(self, text, part, digits, capsys):
+        message = (
+            f"invalid slope {text[:32]!r}... ({len(text)} characters): its {part} has {digits}"
+            " digits, more than Python's int() limit of 4300"
+        )
+        with pytest.raises(ValueError) as info:
+            parse_slope(text)
+        assert str(info.value) == message
+        assert main(["certify", "--slope", text]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        label = f"{text[:32]}... ({len(text)} characters)"
+        assert batch([text]).summary_lines()[0] == f"FAIL slope {label}: {message}"
+
+    def test_a_long_unparsable_text_is_quoted_by_its_start(self):
+        text = "x" * 99_999 + "/"
+        (line, _) = batch([text]).summary_lines()
+        assert line == (
+            f"FAIL slope {'x' * 32}... (100000 characters): invalid slope {'x' * 32!r}..."
+            " (100000 characters): a slope is P/Q or an integer P"
+        )
+        assert len(line) < 300
+
 
 class TestBatch:
     def test_three_good_slopes(self):

@@ -9,7 +9,14 @@ import pytest
 
 from conftest import random_word
 from slopecert import homfly
-from slopecert.braid import BraidWord, cable_word, closure_components, torus_braid, total_linking
+from slopecert.braid import (
+    BraidWord,
+    bennequin_euler_char,
+    cable_word,
+    closure_components,
+    torus_braid,
+    total_linking,
+)
 from slopecert.homfly import (
     DEFAULT_ORACLE_BUDGET,
     HomflyResult,
@@ -202,7 +209,7 @@ class TestGammaPositive:
         res = gamma_positive(TREFOIL)
         assert res.gamma == GAMMA_TREFOIL
         assert res.gamma_normalized == LaurentPoly({0: 2, 1: 1})
-        assert (res.split_components, res.euler_char) == (1, -1)
+        assert (split_factors(TREFOIL), bennequin_euler_char(TREFOIL)) == (1, -1)
         unknot = gamma_positive(UNKNOT)
         assert unknot.gamma == unknot.gamma_normalized == LaurentPoly.one()
 
@@ -251,7 +258,7 @@ class TestGammaPositive:
             sign = -1 if (n - 1) % 2 else 1
             assert res.gamma == sign * ONE_PLUS_INV_ALPHA ** (n - 1)
             assert res.gamma_normalized == LaurentPoly.one()
-            assert res.split_components == n
+            assert split_factors(BraidWord(n, ())) == n
 
     def test_exhaustive_small_words(self):
         for length in range(0, 7):
@@ -280,9 +287,9 @@ class TestConversionCalibration:
         for w in words:
             res = gamma_positive(w)
             comps = closure_components(w)
-            half = (2 - res.euler_char - comps) // 2
+            half = (2 - bennequin_euler_char(w) - comps) // 2
             rebuilt = (
-                LaurentPoly({0: 1, 1: 1}) ** (res.split_components - 1)
+                LaurentPoly({0: 1, 1: 1}) ** (split_factors(w) - 1)
                 * neg_alpha_pow(half)
                 * res.gamma_normalized
             )

@@ -111,6 +111,11 @@ class TestSerialization:
     def test_json_pairs_sorted(self):
         assert LP({2: 1, -1: 3}).to_pairs() == [[-1, 3], [2, 1]]
 
+    @pytest.mark.parametrize("pairs", [[[0, 2.7]], [[1.9, 3]], [[0, "3"]], [[True, 1]], [[0, False]]])
+    def test_pairs_take_exact_ints(self, pairs):
+        with pytest.raises(ValueError, match=r"every field must be an int"):
+            LaurentPoly.from_pairs(pairs)
+
 
 class TestDivision:
     def test_exact(self):
@@ -161,6 +166,13 @@ class TestSkeinElem:
     def test_rows_round_trip(self):
         e = SkeinElem({(0, 0): -A, (1, 2): ONE + A})
         assert SkeinElem.from_rows(e.to_rows()) == e
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.5, 0, [[0, 1]]]], [[0, True, [[0, 1]]]], [["1", 0, [[0, 1]]]], [[0, 0, [[0, 1.0]]]]]
+    )
+    def test_rows_take_exact_ints(self, rows):
+        with pytest.raises(ValueError, match=r"every field must be an int"):
+            SkeinElem.from_rows(rows)
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(4242)
