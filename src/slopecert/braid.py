@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -25,20 +25,48 @@ if hasattr(os, "sysconf"):
 
 @dataclass(frozen=True)
 class BraidWord:
+    """A braid word on ``strands`` strands, held as ``runs``: pairs
+    (block, count), each a block of letters repeated count times, in order.
+
+    ``letters`` is always built from ``runs``, so the two cannot disagree;
+    ``BraidWord(n, letters)`` is the one run (letters, 1), and ``from_runs``
+    takes the runs themselves. Validation, positivity and the text work
+    per run; equality compares strands and letters only.
+    """
+
     strands: int
     letters: tuple
+    runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError("need at least one strand")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        self._set_runs(((self.letters, 1),))
+
+    @classmethod
+    def from_runs(cls, strands: int, runs) -> "BraidWord":
+        w = cls.__new__(cls)
+        object.__setattr__(w, "strands", strands)
+        w._set_runs(runs)
+        return w
+
+    def _set_runs(self, runs) -> None:
         n = self.strands
-        if letters and (0 in letters or max(letters) >= n or min(letters) <= -n):
-            # name the first bad letter
-            for x in letters:
-                if x == 0 or abs(x) >= n:
-                    raise ValueError(f"letter {x} is not a generator on {n} strands")
+        if n < 1:
+            raise ValueError("need at least one strand")
+        kept, letters = [], ()
+        for block, count in runs:
+            block = tuple(block)
+            if count < 0:
+                raise ValueError(f"run count {count} is negative")
+            if not (block and count):
+                continue  # a run of no letters is dropped
+            if 0 in block or max(block) >= n or min(block) <= -n:
+                # name the first bad letter
+                x = next(x for x in block if x == 0 or abs(x) >= n)
+                raise ValueError(f"letter {x} is not a generator on {n} strands")
+            kept.append((block, count))
+            letters += block * count
+        object.__setattr__(self, "runs", tuple(kept))
+        object.__setattr__(self, "letters", letters)
 
     @property
     def exponent_sum(self) -> int:
@@ -46,15 +74,17 @@ class BraidWord:
 
     @property
     def is_positive(self) -> bool:
-        return not self.letters or min(self.letters) > 0
+        return all(min(block) > 0 for block, _ in self.runs)
 
     def reversed(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(reversed(self.letters)))
 
     def __str__(self) -> str:
-        # one str() per distinct letter, not per letter
-        text = {x: str(x) for x in set(self.letters)}
-        return " ".join([f"{self.strands}:", *map(text.__getitem__, self.letters)])
+        # each block is formatted once and its text repeated
+        parts = [f"{self.strands}:"]
+        for block, count in self.runs:
+            parts += [" ".join(map(str, block))] * count
+        return " ".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
@@ -67,31 +97,50 @@ class BraidWord:
         return cls(n, letters)
 
 
-def closure_labels(n: int, letters) -> list:
-    """labels[i] = closure component of the strand entering at top position
-    i, numbered from 0 in order of each component's lowest position.
-
-    One walk of cur[position] = strand gives the inverse of the closure
-    permutation, whose cycles are the same sets of positions."""
+def _permutation(n: int, letters) -> list:
+    """cur[position] = top position of the strand that ends there: the
+    inverse of the closure permutation, whose cycles are the same sets."""
     cur = list(range(n))
     for x in letters:
         i = abs(x) - 1
         cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    labels = [-1] * n
+    return cur
+
+
+def _cycle_labels(perm: list) -> list:
+    """labels[i] = index of the cycle of ``perm`` through i, numbered from
+    0 in order of each cycle's lowest element."""
+    labels = [-1] * len(perm)
     count = 0
-    for i in range(n):
+    for i in range(len(perm)):
         if labels[i] < 0:
             j = i
             while labels[j] < 0:
                 labels[j] = count
-                j = cur[j]
+                j = perm[j]
             count += 1
     return labels
 
 
+def closure_labels(n: int, letters) -> list:
+    """labels[i] = closure component of the strand entering at top position
+    i, numbered from 0 in order of each component's lowest position."""
+    return _cycle_labels(_permutation(n, letters))
+
+
 def closure_components(w: BraidWord) -> int:
-    """Number of components of the braid closure."""
-    return max(closure_labels(w.strands, w.letters)) + 1
+    """Number of components of the braid closure: the cycles of the product
+    over runs of each block's permutation raised to its count by square
+    and multiply, so a run costs its block and log(count) products."""
+    perm = list(range(w.strands))
+    for block, count in w.runs:
+        step = _permutation(w.strands, block)
+        while count:
+            if count & 1:
+                perm = [perm[k] for k in step]
+            step = [step[k] for k in step]
+            count >>= 1
+    return max(_cycle_labels(perm)) + 1
 
 
 def total_linking(w: BraidWord) -> int:
@@ -141,7 +190,9 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
 
     The torus braid is its period (sigma_1 ... sigma_{s-1}) repeated r
     times, so its cabling is the cabled period, one bundle swap per
-    generator, repeated r times.
+    generator, repeated r times. The word is built as those two runs,
+    (period, r) and (twist block, twists), and its letters from them, so
+    validation, text and closure cost one pass per period, not per letter.
 
     The closure is the (q*r*(s-1) + twists, q)-cable of the (r, s) torus
     knot: the cabling inherits the diagram framing r*(s-1), and each extra
@@ -161,7 +212,7 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
         raise ValueError(f"cable word of {_count_text(length)} letters is too long to build")
     try:
         period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
-        return BraidWord(q * s, period * r + tuple(range(1, q)) * twists)
+        return BraidWord.from_runs(q * s, ((period, r), (tuple(range(1, q)), twists)))
     except MemoryError:
         raise ValueError(
             f"cable_braid: out of memory building a cable word of {length} letters"

@@ -330,7 +330,8 @@ def batch(
     a pair of ints (labelled by its repr), a pair holding an int too long to
     write as text (labelled by its bit length), a slope that does not parse,
     one outside the working range, a cable too large to build, an engine
-    out of memory, or a failed internal check.
+    out of memory, or a failed internal check. A text label (and
+    ``mirror_of``) longer than 32 characters is quoted by its start.
     """
     report = BatchReport()
     for item in slopes:
@@ -347,7 +348,7 @@ def batch(
             label = "{}/{}".format(*map(_text, item)) if pair else _clip(item.strip())
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
-        entry = BatchEntry(slope=f"{abs(p)}/{q}", mirror_of=f"{p}/{q}" if p < 0 else None)
+        entry = BatchEntry(slope=_clip(f"{abs(p)}/{q}"), mirror_of=_clip(f"{p}/{q}") if p < 0 else None)
         try:
             entry.certificate = certify_slope(
                 abs(p), q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle

@@ -43,11 +43,19 @@ def _gather(items, out: Optional[dict] = None) -> dict:
     return out
 
 
-def _ints(entry) -> tuple:
-    """The fields of a JSON entry, each an int (a bool is not one)."""
-    if not all(type(x) is int for x in entry):
-        raise ValueError(f"{entry!r}: every field must be an int")
+def _fields(entry, size: int) -> tuple:
+    """The fields of a JSON entry, a list (or tuple) of exactly ``size``."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != size:
+        raise ValueError(f"{entry!r}: expected {size} fields")
     return tuple(entry)
+
+
+def _ints(entry) -> tuple:
+    """The two fields of a JSON pair, each an int (a bool is not one)."""
+    pair = _fields(entry, 2)
+    if not all(type(x) is int for x in pair):
+        raise ValueError(f"{entry!r}: every field must be an int")
+    return pair
 
 
 def _add_pairs(k1: tuple, k2: tuple) -> tuple:
@@ -363,4 +371,8 @@ class SkeinElem(_Sparse):
 
     @classmethod
     def from_rows(cls, rows) -> "SkeinElem":
-        return cls({_ints((h, c)): LaurentPoly.from_pairs(p) for h, c, p in rows})
+        terms = {}
+        for row in rows:
+            h, c, pairs = _fields(row, 3)
+            terms[_ints((h, c))] = LaurentPoly.from_pairs(pairs)
+        return cls(terms)

@@ -94,6 +94,53 @@ class TestWordChecks:
                     bennequin_euler_char(w)
 
 
+def _run_tuples(n):
+    """Runs (block, count) on n strands: empty blocks and count 0 included,
+    with an occasional letter that is not a generator on n strands."""
+    good = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))) if n > 1 else st.nothing()
+    letter = st.one_of(good, good, good, st.sampled_from((0, n, -n, n + 1)))
+    return st.lists(st.tuples(st.lists(letter, max_size=5), st.integers(0, 40)), max_size=4)
+
+
+run_words = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _run_tuples(n)))
+
+
+def _assert_run_route_matches_letters(w, letters):
+    """Every per-run answer of ``w`` equals the per-letter one on ``letters``."""
+    n = w.strands
+    assert w.letters == letters
+    assert closure_components(w) == max(closure_labels(n, letters)) + 1
+    assert str(w) == " ".join([f"{n}:", *map(str, letters)])
+    assert w.is_positive == all(x > 0 for x in letters)
+
+
+class TestRuns:
+    @PROFILE
+    @given(run_words)
+    @example((3, [((1, 2), 0), ((), 5), ((2, 1, 1), 37)]))
+    @example((4, [((), 0)]))
+    @example((3, [((2,), 1), ((1, 2), 1), ((1,), 1)]))  # in reverse run order: 3 circles, not 1
+    @example((5, [((1, 2), 2), ((4, 5), 0), ((3, -5), 1)]))
+    def test_run_route_matches_the_letter_route(self, word):
+        n, runs = word
+        letters = tuple(x for block, count in runs for _ in range(count) for x in block)
+        bad = next((x for x in letters if x == 0 or abs(x) >= n), None)
+        if bad is not None:
+            with pytest.raises(ValueError, match=rf"^letter {bad} is not a generator on {n} strands$"):
+                BraidWord.from_runs(n, runs)
+        else:
+            _assert_run_route_matches_letters(BraidWord.from_runs(n, runs), letters)
+
+    def test_a_plain_word_is_one_run(self):
+        assert BraidWord(3, (1, -2, 1)).runs == (((1, -2, 1), 1),)
+        assert BraidWord(3, ()).runs == ()
+        assert BraidWord.from_runs(3, [([1, 2], 2)]) == BraidWord(3, (1, 2, 1, 2))
+
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match=r"^run count -1 is negative$"):
+            BraidWord.from_runs(3, [((1,), -1)])
+
+
 class TestCableWord:
     def test_equals_bundle_swaps_over_the_torus_letters(self):
         for q in range(1, 5):
@@ -106,7 +153,10 @@ class TestCableWord:
                         ref.extend(tuple(range(1, q)) * twists)
                         w = cable_word(q, r, s, twists)
                         assert w.strands == q * s
-                        assert w.letters == tuple(ref)
+                        _assert_run_route_matches_letters(w, tuple(ref))
+                        # held as one cabled period and one twist block
+                        runs = [(q * q * (s - 1), r), (q - 1, twists)]
+                        assert [(len(b), c) for b, c in w.runs] == [(k, c) for k, c in runs if k and c]
 
     @pytest.mark.parametrize("twists, bytes_per_letter", [(5, 16), (0, 8)])
     def test_memory_bound_counts_what_the_build_holds(self, monkeypatch, twists, bytes_per_letter):

@@ -344,6 +344,17 @@ class TestBatch:
         report = batch(["2/1000003"])
         assert report.summary_lines()[0].endswith("letters is too long to build")
 
+    def test_a_long_parsed_slope_is_labelled_by_its_start(self):
+        text = "2/1" + "0" * 3000 + "1"
+        (line, _) = batch([text]).summary_lines()
+        (entry,) = batch(["-" + text]).entries
+        assert line.startswith(f"FAIL slope 2/1{'0' * 29}... (3004 characters): cable word of ")
+        assert line.endswith(" letters is too long to build")
+        assert (entry.slope, entry.mirror_of) == (
+            f"2/1{'0' * 29}... (3004 characters)",
+            f"-2/1{'0' * 28}... (3005 characters)",
+        )
+
     def test_out_of_memory_building_the_cable_is_recorded(self, cable_out_of_memory):
         report = batch(["3/2"])
         assert report.summary_lines()[0] == (

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"every field must be an int"):
             LaurentPoly.from_pairs(pairs)
 
+    @pytest.mark.parametrize(
+        "pairs, entry", [([[0, 1, 2]], "[0, 1, 2]"), ([[0]], "[0]"), ([[]], "[]"), ([5], "5")]
+    )
+    def test_pairs_name_an_entry_of_the_wrong_length(self, pairs, entry):
+        with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: expected 2 fields$"):
+            LaurentPoly.from_pairs(pairs)
+
 
 class TestDivision:
     def test_exact(self):
@@ -172,6 +180,19 @@ class TestSkeinElem:
     )
     def test_rows_take_exact_ints(self, rows):
         with pytest.raises(ValueError, match=r"every field must be an int"):
+            SkeinElem.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "rows, entry, size",
+        [
+            ([[0, 0]], "[0, 0]", 3),
+            ([[0, 0, [], 1]], "[0, 0, [], 1]", 3),
+            ([7], "7", 3),
+            ([[0, 0, [[0, 1, 2]]]], "[0, 1, 2]", 2),
+        ],
+    )
+    def test_rows_name_an_entry_of_the_wrong_length(self, rows, entry, size):
+        with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: expected {size} fields$"):
             SkeinElem.from_rows(rows)
 
     def test_ring_axioms_randomized(self):
