@@ -19,7 +19,7 @@ Z = GluingMatrix(1, params.r * params.s, 0, 1)
 same = dual == Z @ A.inverse()
 print("equals Z @ A^-1?         :", same, " (Z carries the r*s surface framing)")
 assert same
-meridian = dual.apply((1, 0))
+meridian = tuple(row[0] for row in dual.rows())  # the first column
 print("meridian image           :", meridian, "= (-t, -q): the dual meridian is a (-t,-q) cable curve")
 assert meridian == (-params.t, -params.q)
 

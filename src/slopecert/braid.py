@@ -69,15 +69,8 @@ class BraidWord:
         object.__setattr__(self, "letters", letters)
 
     @property
-    def exponent_sum(self) -> int:
-        return sum(1 if x > 0 else -1 for x in self.letters)
-
-    @property
     def is_positive(self) -> bool:
         return all(min(block) > 0 for block, _ in self.runs)
-
-    def reversed(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(reversed(self.letters)))
 
     def __str__(self) -> str:
         # each block is formatted once and its text repeated

@@ -16,8 +16,13 @@ symbolic polynomials differ. Two independent justifications exist:
 - direct route (budget-gated): actually compute the cable polynomial and
   test unit-ness, which large cables make too expensive.
 
-Every certificate is re-verified internally before being emitted; an
-identity failure raises instead of producing a bad certificate.
+Per slope, ``certify_slope`` checks only what the slope computed: the
+cable closes to a knot, both skein trees equal their closed forms and, on
+the direct route, the cable polynomial is not a unit, Gamma(-1) = 1, its
+normalised form is nonnegative and (``verify_oracle``) the oracle agrees.
+A failed check raises instead of emitting a certificate. Facts true for
+every slope are proved in ``dual_gluing``, ``double_dual_gluing`` and
+``difference``, and pinned by tests, instead.
 """
 
 from __future__ import annotations
@@ -169,21 +174,15 @@ def certify_slope(
     gamma_budget: int = DEFAULT_GAMMA_BUDGET,
     verify_oracle: bool = False,
 ) -> Certificate:
-    """Build and internally verify the certificate for the slope p/q.
+    """Build and check the certificate for the slope p/q.
 
     Raises ValueError outside the working range (p > 1, q >= 1, coprime)
-    and CertificateError if any internal identity fails.
+    and CertificateError if a per-slope check (module docstring) fails.
     """
     params, w = choose_params(p, q, s_start)
     A = params.matrix()
     dual = dual_gluing(A)
     double_dual = double_dual_gluing(A)
-
-    # matrix identities
-    Z = GluingMatrix(1, params.r * params.s, 0, 1)
-    _check(dual == Z @ A.inverse(), "dual map disagrees with Z * A^-1")
-    Zp = GluingMatrix(1, params.p * params.q * params.r**2, 0, 1)
-    _check(double_dual == Zp @ A, "double dual map disagrees with Z' * A")
     induced = induced_slopes(params)
 
     _check(closure_components(w) == 1, "cable closure is not a knot")
@@ -201,9 +200,6 @@ def certify_slope(
     _check(eval_tree(expand(kb_root(q, t), q, r, nodes)) == kb, "first tree != closed form")
     _check(eval_tree(expand(kg_root(q, t), q, r, nodes)) == kg, "second tree != closed form")
     diff = difference(q, r, t)
-    _check(kb - kg == diff, "difference identity fails")
-    _check(kb.evaluate_alpha(-1) == {(0, 0): 1}, "kb normalization at a = -1 fails")
-    _check(kg.evaluate_alpha(-1) == {(0, 0): 1}, "kg normalization at a = -1 fails")
 
     gamma_cr: Optional[LaurentPoly] = None
     gamma_is_unit: Optional[bool] = None
@@ -222,7 +218,6 @@ def certify_slope(
                 zeroth_gamma(homfly_oracle(w)) == gamma_cr,
                 "fast engine disagrees with the skein oracle",
             )
-        _check(not diff.substitute(c_value=gamma_cr).is_zero(), "difference vanished")
 
     reason = REASON_DIRECT if gamma_cr is not None else REASON_GENUS
     return Certificate(

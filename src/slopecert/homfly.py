@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .braid import BraidWord, bennequin_euler_char, closure_components, closure_labels
-from .poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA, neg_alpha_pow
+from .poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 
 DEFAULT_ORACLE_BUDGET = 14
 _MEMO_CAP = 1_000_000  # entries per memo table
@@ -428,6 +428,6 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     chi = bennequin_euler_char(w)
     comps = closure_components(w)
     half = (2 - chi - comps) // 2  # exact: chi has the parity of comps
-    denom = (LaurentPoly({0: 1, 1: 1}) ** (s - 1)) * neg_alpha_pow(half)
+    denom = ONE_PLUS_ALPHA ** (s - 1) * neg_alpha_pow(half)
     normalized = gamma.divexact(denom)
     return GammaResult(gamma=gamma, gamma_normalized=normalized)

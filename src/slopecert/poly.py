@@ -189,10 +189,6 @@ class LaurentPoly(_Sparse):
     # class's own __mul__ sees this ring's products only
     __mul__ = __rmul__ = _Sparse.__mul__
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     def coefficients(self):
         """Coefficients in ascending-exponent order."""
         return [c for _, c in self.items()]
@@ -269,6 +265,7 @@ class LaurentPoly(_Sparse):
 
 
 ALPHA = LaurentPoly({1: 1})
+ONE_PLUS_ALPHA = LaurentPoly({0: 1, 1: 1})
 ONE_PLUS_INV_ALPHA = LaurentPoly({0: 1, -1: 1})
 
 
@@ -286,9 +283,6 @@ class BiLaurent(_Sparse):
     _SCALARS = (int,)
     _add_keys = staticmethod(_add_pairs)
     __mul__ = __rmul__ = _Sparse.__mul__
-
-    def coeff(self, v_exp: int, z_exp: int) -> int:
-        return self._terms.get((v_exp, z_exp), 0)
 
     def times_monomial(self, v_exp: int, z_exp: int, coeff: int = 1) -> "BiLaurent":
         return BiLaurent(

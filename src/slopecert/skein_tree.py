@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
+from .poly import ALPHA, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
 
 _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
-_ALPHA_PLUS_1 = LaurentPoly({1: 1, 0: 1})
-_DIFFERENCE_UNIT = ALPHA * _ALPHA_PLUS_1 * _ALPHA_PLUS_1 * _ALPHA_SQ_MINUS_1  # a(1+a)^2(a^2-1)
+_DIFFERENCE_UNIT = ALPHA * ONE_PLUS_ALPHA * ONE_PLUS_ALPHA * _ALPHA_SQ_MINUS_1  # a(1+a)^2(a^2-1)
 
 # Leaf values by base knot and the skein-edge factor -a, shared by every
 # tree: values are immutable.
@@ -204,21 +203,25 @@ def _factored(c0, c1, u, v, q: int, r: int, t: int) -> SkeinElem:
 
 def closed_form_kb(q: int, r: int, t: int) -> SkeinElem:
     """-a + (a+1) (a^2 - (a^2-1)(-a)^{q(r-t)} HC) (a^2 - (a^2-1)(-a)^{-qt} C^2)."""
-    return _factored(-ALPHA, _ALPHA_PLUS_1, _ALPHA_SQ, _ALPHA_SQ_MINUS_1, q, r, t)
+    return _factored(-ALPHA, ONE_PLUS_ALPHA, _ALPHA_SQ, _ALPHA_SQ_MINUS_1, q, r, t)
 
 
 def closed_form_kg(q: int, r: int, t: int) -> SkeinElem:
     """a^2 - (a^2-1) (a - (a+1)(-a)^{q(r-t)} HC) (a - (a+1)(-a)^{-qt} C^2)."""
-    return _factored(_ALPHA_SQ, -_ALPHA_SQ_MINUS_1, ALPHA, _ALPHA_PLUS_1, q, r, t)
+    return _factored(_ALPHA_SQ, -_ALPHA_SQ_MINUS_1, ALPHA, ONE_PLUS_ALPHA, q, r, t)
 
 
 def difference(q: int, r: int, t: int) -> SkeinElem:
     """The first closed form minus the second, in factored form:
-    a (1+a)^2 (a^2-1) (1 - (-a)^{q(r-t)} HC) (1 - (-a)^{-qt} C^2).
+    U (1 - X HC)(1 - Y C^2), with U = a(1+a)^2(a^2-1), X = (-a)^{q(r-t)}
+    and Y = (-a)^{-qt}.
 
-    The unit prefactor never vanishes away from a = +-1, so the difference
-    can only vanish if one of the two right-hand factors does after
-    substituting actual polynomial values for H and C."""
+    All three forms are ``_factored``: bucket (h, c) of each is a constant
+    times X^h Y^{(c-h)/2}, for (h, c) in (0,0), (1,1), (0,2), (1,3). Both
+    sides of kb - kg = difference have the constants U, -U, -U, U, so it
+    holds for every (q, r, t). At a = -1, a + 1 = a^2 - 1 = 0 and X = Y = 1,
+    so kb = -a = 1 and kg = a^2 = 1. With C a non-unit gamma, the difference
+    vanishes only if gamma^2 = (-a)^{qt}, which would make gamma a unit."""
     return _factored(0, _DIFFERENCE_UNIT, 1, 1, q, r, t)
 
 

@@ -47,10 +47,6 @@ class GluingMatrix:
     def inverse(self) -> "GluingMatrix":
         return GluingMatrix(self.a22, -self.a12, -self.a21, self.a11)
 
-    def apply(self, vec) -> tuple:
-        x, y = vec
-        return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)
-
     def rows(self):
         return [[self.a11, self.a12], [self.a21, self.a22]]
 
@@ -89,20 +85,22 @@ class SlopeParams:
 
 
 def dual_gluing(A: GluingMatrix) -> GluingMatrix:
-    """Gluing map of the dual knot in Seifert-framed coordinates.
+    """Gluing map of the dual knot in Seifert-framed coordinates: Z A^-1,
+    with the surface-framing correction Z = [[1, r*s], [0, 1]].
 
-    Equals the surface-framing correction [[1, r*s], [0, 1]] times the
-    inverse of A, which works out to [[s*(1-q*r), q*r*r], [-q, p]].
+    For A = [[p, r], [q, s]], Z A^-1 = [[s(1-qr), r(ps-1)], [-q, p]], and
+    r(ps-1) = qr^2 + r(ps-qr-1) = qr^2 since ps - qr = det A = 1. So this
+    returns [[s(1-qr), qr^2], [-q, p]], and no caller re-checks the product.
     """
     p, r, q, s = A.a11, A.a12, A.a21, A.a22
     return GluingMatrix(s * (1 - q * r), q * r * r, -q, p)
 
 
 def double_dual_gluing(A: GluingMatrix) -> GluingMatrix:
-    """Gluing map of the double dual knot in Seifert-framed coordinates.
-
-    Equals [[1, p*q*r*r], [0, 1]] times A, which works out to
-    [[p*(1+q^2 r^2), r*(1+p*q*r*s)], [q, s]].
+    """Gluing map of the double dual knot in Seifert-framed coordinates:
+    Z' A with Z' = [[1, pqr^2], [0, 1]], which is
+    [[p(1 + q^2 r^2), r(1 + pqrs)], [q, s]] over Z[p, q, r, s], with no
+    hypothesis, so no caller re-checks the product.
     """
     p, r, q, s = A.a11, A.a12, A.a21, A.a22
     return GluingMatrix(p * (1 + q * q * r * r), r * (1 + p * q * r * s), q, s)

@@ -67,6 +67,11 @@ def slope_params(draw, max_p=9, max_q=4, solutions=3):
     return SlopeParams(p=p, q=q, r=r, s=s, t=-s * (1 - q * r))
 
 
+def exponent_sum(letters) -> int:
+    """The sign sum of a braid word's letters."""
+    return sum(1 if x > 0 else -1 for x in letters)
+
+
 def random_word(rng, max_strands=4, max_letters=8, positive=False) -> BraidWord:
     n = rng.randint(2, max_strands)
     length = rng.randint(1, max_letters)

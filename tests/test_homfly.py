@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_word
+from conftest import exponent_sum, random_word
 from slopecert import homfly
 from slopecert.braid import (
     BraidWord,
@@ -171,7 +171,7 @@ class TestSkeinRelationFuzz:
         words = [TREFOIL, BraidWord(3, (1, 2, 1, 2)), BraidWord(3, (1, -2, 1, 1))]
         words += [random_word(rng, max_strands=3, max_letters=6) for _ in range(10)]
         for w in words:
-            assert oracle_gamma(w) == oracle_gamma(w.reversed())
+            assert oracle_gamma(w) == oracle_gamma(BraidWord(w.strands, w.letters[::-1]))
 
 
 class TestLinkingFormula:
@@ -312,7 +312,7 @@ class TestRewrites:
         for _ in range(60):
             w = random_word(rng, max_strands=4, max_letters=8)
             reduced = _free_cyclic_reduce(w.letters)
-            assert BraidWord(w.strands, reduced).exponent_sum == w.exponent_sum
+            assert exponent_sum(reduced) == exponent_sum(w.letters)
             # and the reduced word has no adjacent cancelling pair left
             for a, b in zip(reduced, reduced[1:]):
                 assert a != -b
@@ -324,7 +324,7 @@ class TestRewrites:
         found = _find_square(letters, n)
         assert found is not None
         assert len(found) == len(letters) and found[0] == found[1]
-        assert BraidWord(n, found).exponent_sum == BraidWord(n, letters).exponent_sum
+        assert exponent_sum(found) == exponent_sum(letters)
         if len(letters) <= DEFAULT_ORACLE_BUDGET:
             assert oracle_gamma(BraidWord(n, found)) == oracle_gamma(BraidWord(n, letters))
 

@@ -31,12 +31,12 @@ class TestLaurentArithmetic:
         assert (ONE + A) * (ONE - A) == LP({0: 1, 2: -1})
 
     def test_inverse_monomials(self):
-        cube = LaurentPoly.monomial(-1, 1) ** 3
-        inv_cube = LaurentPoly.monomial(-1, -1) ** 3
+        cube = LP({1: -1}) ** 3
+        inv_cube = LP({-1: -1}) ** 3
         assert cube * inv_cube == ONE
 
     def test_distribute_over_shift(self):
-        assert (A + ONE) * LaurentPoly.monomial(1, -1) == LP({-1: 1, 0: 1})
+        assert (A + ONE) * LP({-1: 1}) == LP({-1: 1, 0: 1})
 
     def test_zero_coefficients_never_stored(self):
         p = LP({3: 5}) + LP({3: -5})
@@ -61,8 +61,8 @@ class TestLaurentArithmetic:
 
 class TestUnits:
     def test_signed_monomial_is_unit(self):
-        assert LaurentPoly.monomial(-1, 3).is_unit()
-        assert LaurentPoly.monomial(1, -7).is_unit()
+        assert LP({3: -1}).is_unit()
+        assert LP({-7: 1}).is_unit()
 
     def test_two_terms_not_unit(self):
         assert not (ONE + A).is_unit()
@@ -72,7 +72,7 @@ class TestUnits:
         assert not LP({1: -2, 2: -1}).is_unit()
 
     def test_non_unit_coefficient(self):
-        assert not LaurentPoly.monomial(2, 5).is_unit()
+        assert not LP({5: 2}).is_unit()
         assert not LaurentPoly.zero().is_unit()
 
     def test_unit_multiplicative(self):
@@ -145,7 +145,7 @@ class TestBiLaurent:
         delta = BiLaurent({(-1, -1): 1, (1, -1): -1})
         assert delta * BiLaurent.one() == delta
         assert delta - delta == BiLaurent.zero()
-        assert (delta**2).coeff(-2, -2) == 1
+        assert dict((delta**2).items())[(-2, -2)] == 1
 
     def test_times_monomial(self):
         p = BiLaurent({(0, 0): 3})

@@ -314,6 +314,23 @@ class TestClosedForms:
     def test_difference_matches_closed_forms(self):
         assert closed_form_kb(Q, R, T) - closed_form_kg(Q, R, T) == difference(Q, R, T)
 
+    @PROFILE
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @example(Q, R, T)
+    @example(0, 0, 0)
+    def test_identities_hold_for_every_tuple(self, q, r, t):
+        # each form is its q = 0 constants shifted bucket by bucket, the same
+        # shift in all three, so the q = 0 identities hold for every (q, r, t)
+        kb0, kg0, diff0 = (form(0, r, t) for form in (closed_form_kb, closed_form_kg, difference))
+        for form, at_zero in ((closed_form_kb, kb0), (closed_form_kg, kg0), (difference, diff0)):
+            buckets = dict(form(q, r, t).items())
+            assert buckets.keys() == {(0, 0), (1, 1), (0, 2), (1, 3)}
+            constants = dict(at_zero.items())
+            for (h, c), poly in buckets.items():
+                assert poly == constants[h, c] * neg_alpha_pow(h * q * r - (h + c) // 2 * q * t)
+        assert kb0 - kg0 == diff0
+        assert kb0.evaluate_alpha(-1) == kg0.evaluate_alpha(-1) == {(0, 0): 1}
+
     def test_normalization_at_minus_one(self):
         assert closed_form_kb(Q, R, T).evaluate_alpha(-1) == {(0, 0): 1}
         assert closed_form_kg(Q, R, T).evaluate_alpha(-1) == {(0, 0): 1}
@@ -335,7 +352,7 @@ class TestUnitObstruction:
     @example(TREFOIL_GAMMA, -21, 1, 1, 21)
     def test_non_unit_substitution_cannot(self, gamma, k, q, r, t):
         # 1 = (-a)^k gamma^2 would make gamma a unit, so certify_slope's
-        # substitution check needs no separate check of the C^2 factor
+        # non-unit check implies that the substituted difference is nonzero
         assert not (LaurentPoly.one() - neg_alpha_pow(k) * gamma**2).is_zero()
         assert not difference(q, r, t).substitute(c_value=gamma).is_zero()
 
