@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exponent_sum, random_word
 from slopecert import homfly
@@ -23,6 +25,7 @@ from slopecert.homfly import (
     OracleBudgetError,
     _descent_conjugates,
     _find_square,
+    _least_recrossing_rotation,
     _square_at_recrossing,
     clear_caches,
     gamma_linking_formula,
@@ -413,26 +416,36 @@ class TestRewrites:
             _find_square((1,), 2)
 
     @staticmethod
-    def eager_find_square(letters, n):
-        """_find_square with every rotation built before the first is tried."""
-        rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
-        for word in rotations:
-            found = _square_at_recrossing(n, word)
+    def least_recrossing_square(n, word):
+        """Every rotation of ``word`` run through _square_at_recrossing: the
+        square with the least found[0], first in rotation order; None if no
+        rotation has a recrossing."""
+        squares = (_square_at_recrossing(n, word[i:] + word[:i]) for i in range(len(word)))
+        return min((f for f in squares if f is not None), key=lambda f: f[0], default=None)
+
+    @classmethod
+    def eager_find_square(cls, letters, n):
+        """_find_square by brute force, on the word and then on its descent
+        conjugates, right ones first."""
+        conjugates = [c for left in (False, True) for c in _descent_conjugates(n, letters, left)]
+        for word in (letters, *conjugates):
+            found = cls.least_recrossing_square(n, word)
             if found is not None:
                 return found
-        for word in rotations:
-            for g in range(1, n):
-                descent = _square_at_recrossing(n, word + (g,))
-                if descent is not None:
-                    found = _square_at_recrossing(n, (g,) + descent[2:])
-                    if found is not None:
-                        return found
         return None
 
     def test_find_square_returns_the_eager_search_word(self):
         words = [*self.square_search_words(), *((w.strands, w.letters) for w in self.DESCENT_ONLY)]
         for n, letters in words:
             assert _find_square(letters, n) == self.eager_find_square(letters, n)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=24).map(tuple))))
+    def test_window_search_matches_every_rotation(self, word):
+        n, letters = word
+        i = _least_recrossing_rotation(n, letters)
+        found = None if i is None else _square_at_recrossing(n, letters[i:] + letters[:i])
+        assert found == self.least_recrossing_square(n, letters)
 
 
 class TestCableClosuresEmpirically:
@@ -469,7 +482,7 @@ class TestWorkIsPinned:
     """The memo key is a function of the word's rotation class alone, so a
     cold evaluation of a benchmark cable fills the memo to a fixed size."""
 
-    @pytest.mark.parametrize("slope, entries", [((8, 3), 6916), ((5, 3), 1023)])
+    @pytest.mark.parametrize("slope, entries", [((8, 3), 1839), ((5, 3), 369), ((3, 4), 4991), ((11, 3), 6010)])
     def test_cold_gamma_memo_size(self, slope, entries):
         _, w = choose_params(*slope)
         clear_caches()
@@ -500,3 +513,13 @@ class TestMemoCap:
             assert homfly._oracle_memo == {} and homfly._gamma_memo == {}
         finally:
             clear_caches()
+
+    def test_no_headroom_is_out_of_memory(self, monkeypatch):
+        # no 2**60-byte mapping can be made, so the probe at the 256th memo
+        # entry fails, and the memo that filled is emptied
+        monkeypatch.setattr(homfly, "_HEADROOM", 1 << 60)
+        _, w = choose_params(5, 3)
+        clear_caches()
+        with pytest.raises(ValueError, match="^gamma_positive: out of memory on a word of 41 letters on 6 strands$"):
+            gamma_positive(w)
+        assert homfly._gamma_memo == {}

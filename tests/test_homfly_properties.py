@@ -23,6 +23,7 @@ from slopecert.braid import BraidWord, closure_labels
 from slopecert.homfly import (
     _find_square,
     _min_rotation,
+    _one_component,
     _split_word,
     _unlink_gamma,
     clear_caches,
@@ -134,6 +135,15 @@ def test_min_rotation_of_periodic_words(data, k):
 def test_min_rotation_of_constant_words(x, k):
     # k = 0 is the empty word
     assert_least_rotation((x,) * k)
+
+
+@PROFILE
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), letters_on(n, 20), st.integers(1, n - 1))))
+def test_one_component_reads_the_closure_labels(word):
+    # the skein step's branch: strands g-1 and g of the closure on one component
+    n, letters, g = word
+    labels = closure_labels(n, letters)
+    assert _one_component(n, letters, g) == (labels[g - 1] == labels[g])
 
 
 def memo_put(key, value):
