@@ -94,9 +94,8 @@ def _permutation(n: int, letters) -> list:
     """cur[position] = top position of the strand that ends there: the
     inverse of the closure permutation, whose cycles are the same sets."""
     cur = list(range(n))
-    for x in letters:
-        i = abs(x) - 1
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    for g in map(abs, letters):
+        cur[g - 1], cur[g] = cur[g], cur[g - 1]
     return cur
 
 
@@ -136,20 +135,47 @@ def closure_components(w: BraidWord) -> int:
     return max(_cycle_labels(perm)) + 1
 
 
+def component_words(n: int, letters) -> tuple:
+    """Each closure component's braid word, by strand deletion, and the
+    total linking number, from one walk: (words, linking), where words[k]
+    = (strands, letters) for the component that ``closure_labels`` numbers k.
+
+    Each strand carries its rank among its component's strands, counted
+    from the left. A crossing within a component is kept as the generator
+    at the left strand's rank and swaps the two ranks; one between
+    components keeps them, and half their signed count is the linking
+    number. A knot's one word is the word itself."""
+    labels = closure_labels(n, letters)
+    sizes = [0] * (max(labels) + 1)
+    if len(sizes) == 1:
+        return [(n, tuple(letters))], 0
+    rank = []  # rank[strand], the strand named by its top position
+    for label in labels:
+        rank.append(sizes[label])
+        sizes[label] += 1
+    kept = [[] for _ in sizes]
+    cur = list(range(n))  # cur[pos] = strand currently at pos
+    acc = 0
+    for x in letters:
+        g = x if x > 0 else -x
+        left, right = cur[g - 1], cur[g]
+        label = labels[left]
+        if label == labels[right]:
+            r = rank[left]
+            kept[label].append(r + 1 if x > 0 else -r - 1)
+            rank[left], rank[right] = r + 1, r
+        else:
+            acc += 1 if x > 0 else -1
+        cur[g - 1], cur[g] = right, left
+    if acc % 2:
+        raise ValueError("inter-component crossing count is odd; bad word")
+    return list(zip(sizes, map(tuple, kept))), acc // 2
+
+
 def total_linking(w: BraidWord) -> int:
     """Total linking number of the closure: half the signed count of
     crossings between distinct components."""
-    comp = closure_labels(w.strands, w.letters)
-    cur = list(range(w.strands))  # cur[pos] = strand currently at pos
-    acc = 0
-    for x in w.letters:
-        i = abs(x) - 1
-        if comp[cur[i]] != comp[cur[i + 1]]:
-            acc += 1 if x > 0 else -1
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    if acc % 2:
-        raise ValueError("inter-component crossing count is odd; bad word")
-    return acc // 2
+    return component_words(w.strands, w.letters)[1]
 
 
 def _bundle_swap(base_index: int, q: int) -> tuple:

@@ -8,31 +8,38 @@ Descending diagrams are unlinks, whose polynomial is a power of
 delta = (v^-1 - v)/z. The cost is exponential, so calls are budgeted.
 
 ``gamma_positive`` is the fast engine for positive braid words. It computes
-the zeroth coefficient polynomial directly in Z[a^{+-1}] by peeling split
-factors and connected summands off the word, and otherwise conjugating it
-to a word that starts with a square: in a rotation of the word, the prefix
-before the first letter g whose two strands have already crossed is a
-permutation braid with right descent g, so it equals Q g for a reduced
-word Q read off its permutation (Garside; El-Rifai and Morton). The
-rotation taken is the first whose first recrossing is at the least
+the zeroth coefficient polynomial directly in Z[a^{+-1}] by four rules:
+1. a word on one strand gives 1;
+2. a link is factored into its components: ``braid.component_words``
+   gives each component's word, by strand deletion, and the total linking
+   number from one walk, and ``gamma_linking_formula`` (Lickorish and
+   Millett, Topology 26, 1987) assembles them; this covers split links
+   and the empty word on two or more strands;
+3. a knot with a generator used once is a connected sum, cut there;
+4. any other knot is conjugated to a word that starts with a square.
+So only knots are squared. For rule 4, in a rotation of the word, the
+prefix before the first letter g whose two strands have already crossed
+is a permutation braid with right descent g, so it equals Q g for a
+reduced word Q read off its permutation (Garside; El-Rifai and Morton).
+The rotation taken is the first whose first recrossing is at the least
 generator g; one window sliding over the doubled word finds it, because a
 suffix of a permutation braid is one, so the window's end only moves
 right. That choice sets which sub-words a cold walk meets: 8/3's cable
-fills the memo with 1,839 entries, against 6,916 when the first rotation
-with any recrossing was taken. When every rotation is a permutation braid,
-a walk over descent conjugates reaches a word with a rotation that is not
+fills the memo with 192 entries, against 421 when the first rotation with
+any recrossing is taken. When every rotation is a permutation braid, a
+walk over descent conjugates reaches a word with a rotation that is not
 (Geck and Pfeiffer), so the square search always ends and the engine never
-calls the oracle. The skein triple at the square is of positive braid
-links and drops the letter count on both branches. Each engine's rules are
-a generator, ``_oracle_node`` or ``_gamma_node``, that yields each sub-word
-it needs; one loop, ``_run``, runs both engines from a list of suspended
-nodes and alone reads and writes the memos, so Python's stack does not
-bound the depth.
+calls the oracle. The skein triple at the square g g R is of positive
+braid words: R is a knot, g R a two-component link, and both have fewer
+letters. Each engine's rules are a generator, ``_oracle_node`` or
+``_gamma_node``, that yields each sub-word it needs; one loop, ``_run``,
+runs both engines from a list of suspended nodes and alone reads and
+writes the memos, so Python's stack does not bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
-unlink it is (-1)^{n-1} (1 + a^-1)^{n-1}, and across a split union or
-connected sum it is multiplicative up to the (-(1 + a^-1)) split factor.
+unlink it is (-1)^{n-1} (1 + a^-1)^{n-1}, and it is multiplicative across
+a connected sum.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import mmap
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, bennequin_euler_char, closure_components, closure_labels
+from .braid import BraidWord, bennequin_euler_char, closure_components, closure_labels, component_words
 from .poly import BiLaurent, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 
 DEFAULT_ORACLE_BUDGET = 14
@@ -256,11 +263,6 @@ def zeroth_gamma(h: HomflyResult) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _unlink_gamma(n: int) -> LaurentPoly:
-    g = ONE_PLUS_INV_ALPHA ** (n - 1)
-    return -g if (n - 1) % 2 else g
-
-
 def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
     """Zeroth coefficient polynomial of a link assembled from its
     components: (-1)^{n-1} (1+a^-1)^{n-1} (-a)^{lk} times the product of
@@ -272,7 +274,7 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
     if n == 1:
         # a knot has no pairwise linking; the argument is vacuous
         return gammas[0]
-    acc = _unlink_gamma(n) * neg_alpha_pow(total_linking)
+    acc = (-ONE_PLUS_INV_ALPHA) ** (n - 1) * neg_alpha_pow(total_linking)
     for g in gammas:
         acc = acc * g
     return acc
@@ -381,7 +383,9 @@ def _find_square(letters: tuple, n: int) -> tuple:
     Any rotation with a recrossing gives a square; which one is taken sets
     the sub-words the skein steps yield. The least generator was chosen by
     measurement: on every iterated cable measured, a cold walk meets fewer
-    of them than with the first rotation that has a recrossing.
+    of them than with the first rotation that has a recrossing (memo
+    entries: 8/3 192 against 421, 3/4 228 against 809, 11/3 344 against
+    828, 8/5 2,608 against 5,418).
 
     It cannot when each generator occurs at least twice, as in every word
     ``_gamma_node`` searches. Suppose no word reached has a rotation with a
@@ -411,54 +415,40 @@ def _find_square(letters: tuple, n: int) -> tuple:
 
 
 def _split_word(n: int, letters: tuple, g: int):
-    """Cut the word at generator g, which occurs at most once, into the
+    """Cut the word at generator g, which occurs once, into the
     sub-braids on strands 1..g and g+1..n, dropping g."""
     left = tuple(x for x in letters if x < g)
     right = tuple(x - g for x in letters if x > g)
     return (g, left), (n - g, right)
 
 
-def _one_component(n: int, word: tuple, g: int) -> bool:
-    """Whether the strands at positions g-1 and g of the positive ``word``
-    lie on one component of its closure: one walk over the word gives its
-    permutation, and one walk round the cycle through g-1 looks for g."""
-    cur = list(range(n))
-    for x in word:
-        cur[x - 1], cur[x] = cur[x], cur[x - 1]
-    j = cur[g - 1]
-    while j != g - 1:
-        if j == g:
-            return True
-        j = cur[j]
-    return False
-
-
 def _gamma_node(n: int, letters: tuple):
     """The rules for one word: yield each sub-word (n, letters) needed, be
     sent its polynomial, and return this word's polynomial."""
-    if not letters:
-        return _unlink_gamma(n)
+    if n == 1:
+        return LaurentPoly.one()
+
+    words, linking = component_words(n, letters)
+    if len(words) > 1:
+        gammas = []
+        for word in words:
+            gammas.append((yield word))
+        return gamma_linking_formula(gammas, linking)
 
     counts = [letters.count(g) for g in range(1, n)]
-    for want in (0, 1):
-        if want in counts:
-            # split union before connected sum, each at the first such g
-            (ln, lw), (rn, rw) = _split_word(n, letters, counts.index(want) + 1)
-            left = yield ln, lw
-            right = yield rn, rw
-            return -(ONE_PLUS_INV_ALPHA * left * right) if want == 0 else left * right
+    if 1 in counts:
+        # a knot uses every generator; cut it at the first one used once
+        (ln, lw), (rn, rw) = _split_word(n, letters, counts.index(1) + 1)
+        left = yield ln, lw
+        right = yield rn, rw
+        return left * right
 
+    # found = (g, g) + rest; skein triple of positive words. rest has the
+    # knot's permutation, and the smoothing (g,) + rest two components.
     found = _find_square(letters, n)
-    # found = (g, g) + rest; skein triple of positive words. The smoothing
-    # (g,) + rest splits a component of rest's closure iff its strands at
-    # positions g-1 and g lie on one component, and merges two components
-    # otherwise.
-    g, rest = found[0], found[2:]
-    g_minus = yield n, rest
-    if _one_component(n, rest, g):
-        g_zero = yield n, found[1:]
-        return (g_minus + g_zero).times_monomial(1, -1)  # times -a
-    return g_minus.times_monomial(1, -1)
+    g_minus = yield n, found[2:]
+    g_zero = yield n, found[1:]
+    return (g_minus + g_zero).times_monomial(1, -1)  # times -a
 
 
 def gamma_positive(w: BraidWord) -> GammaResult:
@@ -477,22 +467,24 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     Proof, by induction on e + n, along the identities that the rules of
     ``_gamma_node`` apply; each rule takes gamma of the word from gamma of
     words with a smaller e + n.
-    - The empty word: gamma = (-1)^{n-1} (1 + a^-1)^{n-1}, s = n and
-      h = 1 - n, so N = 1.
-    - A split at g, which does not occur: the two factors have
-      n1 + n2 = n strands, e1 + e2 = e letters and c1 + c2 = c components,
-      so s = s1 + s2 and h = h1 + h2 - 1. As gamma = -(1 + a^-1) gamma1
-      gamma2 and -(1 + a^-1) = (a+1)/(-a), N = N1 N2.
-    - A connected sum at g, which occurs once: e = e1 + e2 + 1,
-      c = c1 + c2 - 1 and s = s1 + s2 - 1, so h = h1 + h2. As
+    - One strand: e = 0, c = s = 1 and h = 0, so N = gamma = 1.
+    - A link, c >= 2: component i is a knot on n_i < n strands with e_i
+      letters, so s_i = 1 and h_i = (e_i - n_i + 1)/2. The other e - sum
+      e_i letters are the crossings between components, each positive, so
+      they number 2 lk, where lk is the total linking number. Then
+      h = sum h_i + lk + 1 - c, and since -(1 + a^-1) = (a+1)/(-a), the
+      formula gamma = (-1)^{c-1} (1 + a^-1)^{c-1} (-a)^lk prod gamma_i
+      gives N = (a+1)^{c-s} prod N_i, where c >= s because each split
+      factor holds a component.
+    - A connected sum at g, which a knot uses once: e = e1 + e2 + 1 and
+      both summands are knots, so h = h1 + h2 and s = s1 = s2 = 1. As
       gamma = gamma1 gamma2, N = N1 N2.
-    - The square: every generator occurs at least twice, so s = 1. The
-      conjugate g g R has the closure, e and c of the word. R has e - 2
-      letters and c components, so h(R) = h - 1; when strands g-1 and g of
-      R lie on one component, g R has e - 1 letters and c + 1 components,
-      so h(g R) = h - 1 as well. As gamma = -a (gamma(R) + [that case]
-      gamma(g R)), N = (a+1)^{s(R)-1} N(R) + [that case] (a+1)^{s(g R)-1}
-      N(g R), where s(R), s(g R) >= 1.
+    - The square: a knot on n >= 2 strands uses every generator, so s = 1,
+      and here each at least twice. The conjugate g g R has the closure, e
+      and c of the word. R is a knot of e - 2 letters and g R a link of
+      e - 1 letters and 2 components, so h(R) = h(g R) = h - 1. As
+      gamma = -a (gamma(R) + gamma(g R)), N = N(R) + (a+1)^{s(g R)-1}
+      N(g R), where s(g R) >= 1.
     Sums and products of polynomials in Z[a] with nonnegative coefficients
     keep them, (a+1)^k has constant term 1, and in each case the constant
     term of N is at least one product of constant terms of at least 1.

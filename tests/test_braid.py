@@ -14,6 +14,7 @@ from slopecert.braid import (
     cable_word,
     closure_components,
     closure_labels,
+    component_words,
     torus_braid,
     total_linking,
 )
@@ -398,3 +399,45 @@ class TestClosureLabels:
         for g in range(1, n):
             change = 1 if labels[g - 1] == labels[g] else -1
             assert closure_components(BraidWord(n, (g,) + letters)) == before + change
+
+
+def labelled_linking(n, letters):
+    """The total linking number from the closure labels alone: half the
+    signed count of crossings whose strands have different labels."""
+    comp = closure_labels(n, letters)
+    cur = list(range(n))  # cur[pos] = strand currently at pos
+    acc = 0
+    for x in letters:
+        i = abs(x) - 1
+        if comp[cur[i]] != comp[cur[i + 1]]:
+            acc += 1 if x > 0 else -1
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    assert acc % 2 == 0
+    return acc // 2
+
+
+signed_links = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(st.just(n), _signed_letters(n).map(tuple))
+)
+
+
+class TestComponentWords:
+    @PROFILE
+    @given(signed_links)
+    @example((2, ()))
+    @example((3, (1, -2, 1, 1, -2)))
+    def test_one_knot_word_per_component(self, word):
+        n, letters = word
+        words, linking = component_words(n, letters)
+        assert len(words) == closure_components(BraidWord(n, letters))
+        assert all(closure_components(BraidWord(k, w)) == 1 for k, w in words)
+        assert sum(k for k, _ in words) == n
+        assert linking == labelled_linking(n, letters) == total_linking(BraidWord(n, letters))
+
+    def test_a_knot_is_its_own_word(self):
+        assert component_words(3, (1, -2)) == ([(3, (1, -2))], 0)
+
+    def test_two_cable_of_the_trefoil(self):
+        # each component is a trefoil on 2 strands; they link 3 times
+        w = cable_word(2, 3, 2, 0)
+        assert component_words(w.strands, w.letters) == ([(2, (1, 1, 1)), (2, (1, 1, 1))], 3)

@@ -482,7 +482,10 @@ class TestWorkIsPinned:
     """The memo key is a function of the word's rotation class alone, so a
     cold evaluation of a benchmark cable fills the memo to a fixed size."""
 
-    @pytest.mark.parametrize("slope, entries", [((8, 3), 1839), ((5, 3), 369), ((3, 4), 4991), ((11, 3), 6010)])
+    @pytest.mark.parametrize(
+        "slope, entries",
+        [((8, 3), 192), ((5, 3), 75), ((3, 4), 228), ((11, 3), 344), ((25, 6), 3306), ((21, 5), 647)],
+    )
     def test_cold_gamma_memo_size(self, slope, entries):
         _, w = choose_params(*slope)
         clear_caches()
@@ -518,8 +521,8 @@ class TestMemoCap:
         # no 2**60-byte mapping can be made, so the probe at the 256th memo
         # entry fails, and the memo that filled is emptied
         monkeypatch.setattr(homfly, "_HEADROOM", 1 << 60)
-        _, w = choose_params(5, 3)
+        _, w = choose_params(21, 5)
         clear_caches()
-        with pytest.raises(ValueError, match="^gamma_positive: out of memory on a word of 41 letters on 6 strands$"):
+        with pytest.raises(ValueError, match="^gamma_positive: out of memory on a word of 76 letters on 5 strands$"):
             gamma_positive(w)
         assert homfly._gamma_memo == {}

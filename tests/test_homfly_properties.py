@@ -19,19 +19,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slopecert import homfly
-from slopecert.braid import BraidWord, closure_labels
+from slopecert.braid import BraidWord, closure_labels, component_words
 from slopecert.homfly import (
     _find_square,
     _min_rotation,
-    _one_component,
     _split_word,
-    _unlink_gamma,
     clear_caches,
+    gamma_linking_formula,
     gamma_positive,
     homfly_oracle,
     zeroth_gamma,
 )
-from slopecert.poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA
+from slopecert.poly import ALPHA, LaurentPoly
 from slopecert.surgery import choose_params
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -138,12 +137,18 @@ def test_min_rotation_of_constant_words(x, k):
 
 
 @PROFILE
-@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), letters_on(n, 20), st.integers(1, n - 1))))
-def test_one_component_reads_the_closure_labels(word):
-    # the skein step's branch: strands g-1 and g of the closure on one component
-    n, letters, g = word
-    labels = closure_labels(n, letters)
-    assert _one_component(n, letters, g) == (labels[g - 1] == labels[g])
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), letters_on(n, 14))))
+@example((2, (1, 1)))
+@example((4, (1, 3, 3, 2, 2)))
+def test_linking_formula_over_the_component_words(word):
+    # the link rule of gamma_positive: the oracle's gamma of a positive
+    # braid link is the Lickorish-Millett formula over its component words
+    n, letters = word
+    words, linking = component_words(n, letters)
+    clear_caches()
+    gammas = [zeroth_gamma(homfly_oracle(BraidWord(k, w))) for k, w in words]
+    clear_caches()
+    assert gamma_linking_formula(gammas, linking) == zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
 
 
 def memo_put(key, value):
@@ -159,42 +164,20 @@ def reference_gamma_rec(n, letters):
     if cached is not None:
         return cached
 
-    if not letters:
-        result = _unlink_gamma(n)
-        memo_put(key, result)
-        return result
-
-    counts = [0] * n
-    for x in letters:
-        counts[x] += 1
-
-    result = None
-    for g in range(1, n):
-        if counts[g] == 0:
-            (ln, lw), (rn, rw) = _split_word(n, letters, g)
-            left = reference_gamma_rec(ln, lw)
-            right = reference_gamma_rec(rn, rw)
-            result = -(ONE_PLUS_INV_ALPHA * left * right)
-            break
-    if result is None:
-        for g in range(1, n):
-            if counts[g] == 1:
-                (ln, lw), (rn, rw) = _split_word(n, letters, g)
-                left = reference_gamma_rec(ln, lw)
-                right = reference_gamma_rec(rn, rw)
-                result = left * right
-                break
-
-    if result is None:
+    words, linking = component_words(n, letters)
+    once = [g for g in range(1, n) if letters.count(g) == 1]
+    if n == 1:
+        result = LaurentPoly.one()
+    elif len(words) > 1:
+        result = gamma_linking_formula([reference_gamma_rec(k, w) for k, w in words], linking)
+    elif once:
+        (ln, lw), (rn, rw) = _split_word(n, letters, once[0])
+        left = reference_gamma_rec(ln, lw)
+        result = left * reference_gamma_rec(rn, rw)
+    else:
         found = _find_square(letters, n)
-        g, rest = found[0], found[2:]
-        labels = closure_labels(n, rest)
-        g_minus = reference_gamma_rec(n, rest)
-        if labels[g - 1] == labels[g]:
-            g_zero = reference_gamma_rec(n, found[1:])
-            result = -(ALPHA * (g_minus + g_zero))
-        else:
-            result = -(ALPHA * g_minus)
+        g_minus = reference_gamma_rec(n, found[2:])
+        result = -(ALPHA * (g_minus + reference_gamma_rec(n, found[1:])))
 
     memo_put(key, result)
     return result
