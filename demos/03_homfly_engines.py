@@ -4,10 +4,13 @@ The oracle computes the full two-variable HOMFLYPT polynomial by switching
 and smoothing crossings until the diagram descends to an unlink; it is
 exact and exponential. The zeroth coefficient polynomial is its z-degree-0
 layer after normalization, with a = -v^2. For positive braids a much
-faster recursion works directly in Z[a^{+-1}]. It squares only knots: a
-link's polynomial comes from its components' by the Lickorish-Millett
-formula shown last, with each component's braid word found by deleting
-the other components' strands.
+faster recursion works on the normalized polynomial N, which for a knot
+of genus g is Gamma / (-a)^g and lies in Z[a] with nonnegative
+coefficients. It squares only knots, and it uses the Lickorish-Millett
+formula shown last in its normalized form: a link's N is (a+1)^{c-s}
+times its components' N, for c components and s split factors, the
+linking number having gone into the power of -a. Each component's braid
+word is found by deleting the other components' strands.
 """
 
 from slopecert import (
@@ -20,7 +23,7 @@ from slopecert import (
     zeroth_gamma,
 )
 from slopecert.braid import cable_word, component_words
-from slopecert.poly import LaurentPoly
+from slopecert.poly import ONE_PLUS_ALPHA, LaurentPoly
 
 for name, w in (
     ("unknot", BraidWord(1, ())),
@@ -46,7 +49,7 @@ for name, w in (("right trefoil", BraidWord(2, (1, 1, 1))), ("(4,3) torus knot",
 
 print()
 print("links split into their components up to a linking-number weight;")
-print("the fast engine computes every link this way, from its components' words:")
+print("the fast engine computes every link this way, in the normalized form shown last:")
 hopf = BraidWord(2, (1, 1))
 one = LaurentPoly.one()
 lk = total_linking(hopf)
@@ -59,3 +62,7 @@ formula = gamma_linking_formula([gamma_positive(BraidWord(*word)).gamma for word
 print(f"  2-cable of the trefoil ({cable}): components {words}, lk = {lk}")
 print(f"    formula gives {formula}, oracle gives {zeroth_gamma(homfly_oracle(cable))}")
 assert formula == zeroth_gamma(homfly_oracle(cable)) == gamma_positive(cable).gamma
+normalized = ONE_PLUS_ALPHA * gamma_positive(BraidWord(*words[0])).gamma_normalized
+normalized = normalized * gamma_positive(BraidWord(*words[1])).gamma_normalized
+print(f"    normalized: (a+1) N(component) N(component) = {normalized} (c = 2, s = 1)")
+assert normalized == gamma_positive(cable).gamma_normalized

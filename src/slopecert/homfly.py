@@ -7,16 +7,21 @@ first crossing that is not descending, and smooths it, terminating because
 Descending diagrams are unlinks, whose polynomial is a power of
 delta = (v^-1 - v)/z. The cost is exponential, so calls are budgeted.
 
-``gamma_positive`` is the fast engine for positive braid words. It computes
-the zeroth coefficient polynomial directly in Z[a^{+-1}] by four rules:
+``gamma_positive`` is the fast engine for positive braid words. For a word
+of e letters on n strands whose closure has c components, its memo holds
+E = gamma / (-a)^h, where gamma is the zeroth coefficient polynomial and
+h = (e - n + 2 - c)/2; on a knot, E is the normalised polynomial N of
+``gamma_positive``'s lemma. Four rules give E, each by adding or
+multiplying:
 1. a word on one strand gives 1;
-2. a link is factored into its components: ``braid.component_words``
-   gives each component's word, by strand deletion, and the total linking
-   number from one walk, and ``gamma_linking_formula`` (Lickorish and
-   Millett, Topology 26, 1987) assembles them; this covers split links
-   and the empty word on two or more strands;
-3. a knot with a generator used once is a connected sum, cut there;
-4. any other knot is conjugated to a word that starts with a square.
+2. a link gives (a+1)^{c-1} times the product of its components' E, where
+   ``braid.component_words`` gives each component's word, by strand
+   deletion: the Lickorish-Millett formula (Topology 26, 1987;
+   ``gamma_linking_formula``) with its linking number absorbed into h;
+   this covers split links and the empty word on two or more strands;
+3. a knot with a generator used once is a connected sum, cut there, and
+   E is the product of the summands' E;
+4. any other knot is conjugated to a word g g R, and E = E(R) + E(g R).
 So only knots are squared. For rule 4, in a rotation of the word, the
 prefix before the first letter g whose two strands have already crossed
 is a permutation braid with right descent g, so it equals Q g for a
@@ -48,11 +53,10 @@ import mmap
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, bennequin_euler_char, closure_components, closure_labels, component_words
+from .braid import BraidWord, closure_components, closure_labels, component_words
 from .poly import BiLaurent, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 
 DEFAULT_ORACLE_BUDGET = 14
-_MEMO_CAP = 1_000_000  # entries per memo table
 _HEADROOM = 8 << 20  # bytes of address space ``_run`` keeps free
 
 # delta = (v^-1 - v) / z, the unknot-disjoint-union multiplier
@@ -121,11 +125,9 @@ def _run(rules, memo: dict, n: int, letters: tuple):
                     request = node.send(value)
                     break
                 except StopIteration as done:
-                    value = done.value
-                    if len(memo) < _MEMO_CAP:
-                        memo[key] = value
-                        if not len(memo) & 255:
-                            _probe_headroom()
+                    value = memo[key] = done.value
+                    if not len(memo) & 255:
+                        _probe_headroom()
                     pending.pop()
             else:  # the outermost request is answered
                 return value
@@ -285,14 +287,6 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def split_factors(w: BraidWord) -> int:
-    """Number of split factors of the closure: components of the path on
-    strand positions whose edges are the generators that occur (g joins
-    positions g-1 and g, and no other generator does), so the strand count
-    minus the number of distinct generators."""
-    return w.strands - len({abs(x) for x in w.letters})
-
-
 def _sorting_word(pos: list) -> tuple:
     """A reduced word that carries the identity arrangement of strands to
     ``pos``: the swaps of a bubble sort of ``pos``, read backwards."""
@@ -424,16 +418,16 @@ def _split_word(n: int, letters: tuple, g: int):
 
 def _gamma_node(n: int, letters: tuple):
     """The rules for one word: yield each sub-word (n, letters) needed, be
-    sent its polynomial, and return this word's polynomial."""
+    sent its E, and return this word's E = gamma / (-a)^h."""
     if n == 1:
         return LaurentPoly.one()
 
-    words, linking = component_words(n, letters)
+    words, _ = component_words(n, letters)
     if len(words) > 1:
-        gammas = []
+        acc = ONE_PLUS_ALPHA ** (len(words) - 1)
         for word in words:
-            gammas.append((yield word))
-        return gamma_linking_formula(gammas, linking)
+            acc = acc * (yield word)
+        return acc
 
     counts = [letters.count(g) for g in range(1, n)]
     if 1 in counts:
@@ -448,7 +442,7 @@ def _gamma_node(n: int, letters: tuple):
     found = _find_square(letters, n)
     g_minus = yield n, found[2:]
     g_zero = yield n, found[1:]
-    return (g_minus + g_zero).times_monomial(1, -1)  # times -a
+    return g_minus + g_zero
 
 
 def gamma_positive(w: BraidWord) -> GammaResult:
@@ -456,38 +450,42 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     normalized form.
 
     For a word of e letters on n strands whose closure has c components,
-    the normalized polynomial is N = gamma / ((a+1)^{s-1} (-a)^h), where
-    s = n - (number of distinct generators) counts split factors and
-    h = (e - n + 2 - c)/2, a whole number since chi = n - e has the parity
-    of c. The loop ``_run``, which runs both engines, takes words of any
-    length; only the caller's crossing budget bounds the work, which grows
-    fast with the strand count. Out of memory, this raises ValueError.
+    gamma = (a+1)^{s-1} (-a)^h N, where s = n - (number of distinct
+    generators) counts split factors, h = (e - n + 2 - c)/2, a whole number
+    since e has the parity of n - c, and N, the normalized polynomial, is
+    (a+1)^{c-s} times the product of E over the closure's components (see
+    the module docstring for E). The loop ``_run``, which runs both
+    engines, takes words of any length; only the caller's crossing budget
+    bounds the work, which grows fast with the strand count. Out of
+    memory, this raises ValueError.
 
     Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
-    Proof, by induction on e + n, along the identities that the rules of
-    ``_gamma_node`` apply; each rule takes gamma of the word from gamma of
-    words with a smaller e + n.
-    - One strand: e = 0, c = s = 1 and h = 0, so N = gamma = 1.
-    - A link, c >= 2: component i is a knot on n_i < n strands with e_i
-      letters, so s_i = 1 and h_i = (e_i - n_i + 1)/2. The other e - sum
-      e_i letters are the crossings between components, each positive, so
-      they number 2 lk, where lk is the total linking number. Then
-      h = sum h_i + lk + 1 - c, and since -(1 + a^-1) = (a+1)/(-a), the
-      formula gamma = (-1)^{c-1} (1 + a^-1)^{c-1} (-a)^lk prod gamma_i
-      gives N = (a+1)^{c-s} prod N_i, where c >= s because each split
-      factor holds a component.
-    - A connected sum at g, which a knot uses once: e = e1 + e2 + 1 and
-      both summands are knots, so h = h1 + h2 and s = s1 = s2 = 1. As
-      gamma = gamma1 gamma2, N = N1 N2.
-    - The square: a knot on n >= 2 strands uses every generator, so s = 1,
-      and here each at least twice. The conjugate g g R has the closure, e
-      and c of the word. R is a knot of e - 2 letters and g R a link of
-      e - 1 letters and 2 components, so h(R) = h(g R) = h - 1. As
-      gamma = -a (gamma(R) + gamma(g R)), N = N(R) + (a+1)^{s(g R)-1}
-      N(g R), where s(g R) >= 1.
-    Sums and products of polynomials in Z[a] with nonnegative coefficients
-    keep them, (a+1)^k has constant term 1, and in each case the constant
-    term of N is at least one product of constant terms of at least 1.
+    Proof. First, each rule of ``_gamma_node`` gives E of the word: with
+    gamma_i, E_i, h_i and e_i, n_i, c_i for its sub-words,
+    - one strand: e = 0 and c = 1, so h = 0 and E = gamma = 1;
+    - a link, c >= 2: component i is a knot on n_i strands, sum n_i = n.
+      The e - sum e_i letters that are not in a component's word are the
+      crossings between components, each positive, so they number 2 lk,
+      where lk is the total linking number; so h = sum h_i + lk + 1 - c.
+      As -(1 + a^-1) = (a+1)/(-a), the Lickorish-Millett formula
+      gamma = (-1)^{c-1} (1 + a^-1)^{c-1} (-a)^lk prod gamma_i gives
+      E = (a+1)^{c-1} prod E_i;
+    - a connected sum at g, which a knot uses once: e = e1 + e2 + 1,
+      n = n1 + n2 and both summands are knots, so h = h1 + h2, and as
+      gamma = gamma1 gamma2, E = E1 E2;
+    - the square: the conjugate g g R has the closure, e and c of the word.
+      R is a knot of e - 2 letters and g R a link of e - 1 letters and 2
+      components, so h(R) = h(g R) = h - 1. As
+      gamma = -a (gamma(R) + gamma(g R)), E = E(R) + E(g R).
+    Each sub-word has a smaller e + n. So by induction on e + n, E of every
+    positive word lies in Z[a], has nonnegative coefficients and has a
+    constant term of at least 1: the rules only add and multiply such
+    polynomials and (a+1)^k, whose constant term is 1, and a sum or product
+    of them has a constant term at least that of one term or factor. Last,
+    by the link rule, E of the word is (a+1)^{c-1} prod E_i (for a knot,
+    c = 1 and the product is E), and c >= s because each split factor holds
+    a component; so N = (a+1)^{c-s} prod E_i has the same three properties,
+    and gamma = (a+1)^{s-1} (-a)^h N.
 
     For a knot, s = 1 and h is the genus g, so gamma = (-a)^g N and the
     lowest term of gamma^2 is N(0)^2 a^{2g}: gamma^2 = +-(-a)^m needs
@@ -495,16 +493,16 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
+    words, _ = component_words(w.strands, w.letters)
+    c, s = len(words), w.strands - len(set(w.letters))
+    normalized = ONE_PLUS_ALPHA ** (c - s)
     try:
-        gamma = _run(_gamma_node, _gamma_memo, w.strands, w.letters)
+        for word in words:
+            normalized = normalized * _run(_gamma_node, _gamma_memo, *word)
     except MemoryError:
         raise ValueError(
             f"gamma_positive: out of memory on a word of {len(w.letters)} letters on {w.strands} strands"
         ) from None
-    s = split_factors(w)
-    chi = bennequin_euler_char(w)
-    comps = closure_components(w)
-    half = (2 - chi - comps) // 2  # exact: chi has the parity of comps
-    denom = ONE_PLUS_ALPHA ** (s - 1) * neg_alpha_pow(half)
-    normalized = gamma.divexact(denom)
+    half = (len(w.letters) - w.strands + 2 - c) // 2  # exact: e has the parity of n - c
+    gamma = ONE_PLUS_ALPHA ** (s - 1) * neg_alpha_pow(half) * normalized
     return GammaResult(gamma=gamma, gamma_normalized=normalized)

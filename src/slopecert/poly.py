@@ -220,40 +220,6 @@ class LaurentPoly(_Sparse):
         num = sum(c * n ** (e - lo) * d ** (hi - e) for e, c in self._terms.items())
         return Fraction(num, n ** -lo * d**hi)
 
-    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Divide by ``other`` in Z[a^{+-1}], raising if not exact."""
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        # Shift both operands into ordinary polynomials.
-        av, bv = min(self._terms), min(other._terms)
-        da, db = max(self._terms) - av, max(other._terms) - bv
-        if db > da:
-            raise ValueError("not divisible: divisor degree too large")
-        A = [0] * (da + 1)
-        for e, c in self._terms.items():
-            A[e - av] = c
-        B = [0] * (db + 1)
-        for e, c in other._terms.items():
-            B[e - bv] = c
-        Q = [0] * (da - db + 1)
-        R = A[:]
-        lead = B[db]
-        for i in range(da - db, -1, -1):
-            top = R[i + db]
-            if top % lead != 0:
-                raise ValueError("not divisible in Z[a^{+-1}]")
-            qi = top // lead
-            Q[i] = qi
-            if qi:
-                for j in range(db + 1):
-                    R[i + j] -= qi * B[j]
-        if any(R):
-            raise ValueError("not divisible: nonzero remainder")
-        return LaurentPoly({i + av - bv: c for i, c in enumerate(Q) if c})
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"

@@ -31,7 +31,6 @@ from slopecert.homfly import (
     gamma_linking_formula,
     gamma_positive,
     homfly_oracle,
-    split_factors,
     zeroth_gamma,
 )
 from slopecert.poly import ALPHA, BiLaurent, LaurentPoly, ONE_PLUS_INV_ALPHA
@@ -47,6 +46,14 @@ GAMMA_HOPF = LaurentPoly({0: 1, 1: 1})
 
 def oracle_gamma(w: BraidWord) -> LaurentPoly:
     return zeroth_gamma(homfly_oracle(w))
+
+
+def split_factors(w: BraidWord) -> int:
+    """Number of split factors of the closure: components of the path on
+    strand positions whose edges are the generators that occur (g joins
+    positions g-1 and g, and no other generator does), so the strand count
+    minus the number of distinct generators."""
+    return w.strands - len({abs(x) for x in w.letters})
 
 
 class TestOracleGroundTruth:
@@ -507,15 +514,7 @@ class TestWorkIsPinned:
 
 
 class TestMemoCap:
-    def test_zero_cap_still_correct(self, monkeypatch):
-        monkeypatch.setattr(homfly, "_MEMO_CAP", 0)
-        clear_caches()
-        try:
-            assert oracle_gamma(TREFOIL) == GAMMA_TREFOIL
-            assert gamma_positive(TREFOIL).gamma == GAMMA_TREFOIL
-            assert homfly._oracle_memo == {} and homfly._gamma_memo == {}
-        finally:
-            clear_caches()
+    """The memos are bounded by memory alone."""
 
     def test_no_headroom_is_out_of_memory(self, monkeypatch):
         # no 2**60-byte mapping can be made, so the probe at the 256th memo

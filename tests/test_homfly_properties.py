@@ -6,7 +6,8 @@ checked on signed words.
 
 The fast engine's driver is checked against the recursive evaluator it
 replaced, kept here as a reference: both must give the same polynomial and
-fill the memo with the same entries in the same order.
+fill the memo with the same entries in the same order. Every value in that
+memo must have the three properties of ``gamma_positive``'s lemma.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
@@ -30,7 +31,7 @@ from slopecert.homfly import (
     homfly_oracle,
     zeroth_gamma,
 )
-from slopecert.poly import ALPHA, LaurentPoly
+from slopecert.poly import ONE_PLUS_ALPHA, LaurentPoly
 from slopecert.surgery import choose_params
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -151,25 +152,23 @@ def test_linking_formula_over_the_component_words(word):
     assert gamma_linking_formula(gammas, linking) == zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
 
 
-def memo_put(key, value):
-    if len(homfly._gamma_memo) < homfly._MEMO_CAP:
-        homfly._gamma_memo[key] = value
-
-
 def reference_gamma_rec(n, letters):
     """The recursive evaluator that the driver loop replaced: the same
-    rules, memo reads and memo writes, on the call stack."""
+    rules, memo reads and memo writes, on the call stack. It returns
+    E = gamma / (-a)^h, the value the memo holds."""
     key = (n, _min_rotation(letters))
     cached = homfly._gamma_memo.get(key)
     if cached is not None:
         return cached
 
-    words, linking = component_words(n, letters)
+    words, _ = component_words(n, letters)
     once = [g for g in range(1, n) if letters.count(g) == 1]
     if n == 1:
         result = LaurentPoly.one()
     elif len(words) > 1:
-        result = gamma_linking_formula([reference_gamma_rec(k, w) for k, w in words], linking)
+        result = ONE_PLUS_ALPHA ** (len(words) - 1)
+        for k, w in words:
+            result = result * reference_gamma_rec(k, w)
     elif once:
         (ln, lw), (rn, rw) = _split_word(n, letters, once[0])
         left = reference_gamma_rec(ln, lw)
@@ -177,18 +176,23 @@ def reference_gamma_rec(n, letters):
     else:
         found = _find_square(letters, n)
         g_minus = reference_gamma_rec(n, found[2:])
-        result = -(ALPHA * (g_minus + reference_gamma_rec(n, found[1:])))
+        result = g_minus + reference_gamma_rec(n, found[1:])
 
-    memo_put(key, result)
+    homfly._gamma_memo[key] = result
     return result
 
 
 def assert_driver_matches_reference(w):
+    # gamma_positive evaluates the closure's components one by one, and N
+    # is (a+1)^(c - s) times the product of their values
+    words, _ = component_words(w.strands, w.letters)
     clear_caches()
-    expected = reference_gamma_rec(w.strands, w.letters)
+    expected = ONE_PLUS_ALPHA ** (len(words) - (w.strands - len(set(w.letters))))
+    for k, word in words:
+        expected = expected * reference_gamma_rec(k, word)
     expected_memo = list(homfly._gamma_memo.items())
     clear_caches()
-    assert gamma_positive(w).gamma == expected
+    assert gamma_positive(w).gamma_normalized == expected
     assert list(homfly._gamma_memo.items()) == expected_memo
 
 
@@ -248,3 +252,28 @@ def test_normalized_gamma_has_a_positive_constant_term(word):
     normalized = gamma_positive(BraidWord(n, letters)).gamma_normalized
     assert all(k >= 0 for k, _ in normalized.items())
     assert dict(normalized.items()).get(0, 0) >= 1
+
+
+def assert_memo_holds_normalized_polynomials(w):
+    # the induction of gamma_positive's lemma, entry by entry: every value
+    # the rules compute lies in Z[a], has nonnegative coefficients and a
+    # constant term of at least 1
+    clear_caches()
+    gamma_positive(w)
+    assert homfly._gamma_memo
+    for value in homfly._gamma_memo.values():
+        terms = dict(value.items())
+        assert all(k >= 0 and c > 0 for k, c in terms.items()), value
+        assert terms.get(0, 0) >= 1, value
+
+
+@PROFILE
+@given(positive_links())
+@example((2, (1, 1, 1)))
+def test_every_memo_value_is_a_normalized_polynomial(word):
+    assert_memo_holds_normalized_polynomials(BraidWord(*word))
+
+
+@pytest.mark.parametrize("slope", [(8, 3), (5, 3), (21, 5)])
+def test_every_memo_value_is_a_normalized_polynomial_on_cables(slope):
+    assert_memo_holds_normalized_polynomials(choose_params(*slope)[1])

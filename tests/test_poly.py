@@ -9,7 +9,6 @@ from slopecert.poly import (
     LaurentPoly,
     ONE_PLUS_INV_ALPHA,
     SkeinElem,
-    neg_alpha_pow,
 )
 
 A = ALPHA
@@ -128,21 +127,6 @@ class TestSerialization:
     def test_pairs_name_an_entry_of_the_wrong_length(self, pairs, entry):
         with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: expected 2 fields$"):
             LaurentPoly.from_pairs(pairs)
-
-
-class TestDivision:
-    def test_exact(self):
-        assert LP({0: 1, 2: -1}).divexact(ONE + A) == LP({0: 1, 1: -1})
-
-    def test_unit_divisor(self):
-        p = LP({1: -2, 2: -1})
-        assert p.divexact(neg_alpha_pow(1)) == LP({0: 2, 1: 1})
-
-    def test_inexact_raises(self):
-        with pytest.raises(ValueError):
-            (ONE + A).divexact(LP({0: 2}))
-        with pytest.raises(ValueError):
-            (ONE + A + A * A).divexact(ONE + A)
 
 
 class TestBiLaurent:

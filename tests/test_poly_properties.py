@@ -97,13 +97,6 @@ def test_power_is_repeated_multiplication(cls):
 
 
 @PROFILE
-@given(laurent, laurent)
-def test_laurent_divexact_undoes_multiplication(a, b):
-    if b:
-        assert (a * b).divexact(b) == a
-
-
-@PROFILE
 @given(laurent)
 def test_laurent_text_and_pair_round_trips(a):
     assert LaurentPoly.from_pairs(a.to_pairs()) == a
