@@ -6,11 +6,13 @@ exact and exponential. The zeroth coefficient polynomial is its z-degree-0
 layer after normalization, with a = -v^2. For positive braids a much
 faster recursion works on the normalized polynomial N, which for a knot
 of genus g is Gamma / (-a)^g and lies in Z[a] with nonnegative
-coefficients. It squares only knots, and it uses the Lickorish-Millett
-formula shown last in its normalized form: a link's N is (a+1)^{c-s}
-times its components' N, for c components and s split factors, the
-linking number having gone into the power of -a. Each component's braid
-word is found by deleting the other components' strands.
+coefficients. It squares and stores only knots, and it uses the
+Lickorish-Millett formula, on its input and on the two-component link
+that each square's smoothing makes, in the normalized form shown last:
+a link's N is (a+1)^{c-s} times its components' N, for c components and
+s split factors, the linking number having gone into the power of -a.
+Each component's braid word is found by deleting the other components'
+strands.
 """
 
 from slopecert import (

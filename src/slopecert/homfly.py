@@ -7,39 +7,40 @@ first crossing that is not descending, and smooths it, terminating because
 Descending diagrams are unlinks, whose polynomial is a power of
 delta = (v^-1 - v)/z. The cost is exponential, so calls are budgeted.
 
-``gamma_positive`` is the fast engine for positive braid words. For a word
-of e letters on n strands whose closure has c components, its memo holds
-E = gamma / (-a)^h, where gamma is the zeroth coefficient polynomial and
-h = (e - n + 2 - c)/2; on a knot, E is the normalised polynomial N of
-``gamma_positive``'s lemma. Four rules give E, each by adding or
-multiplying:
-1. a word on one strand gives 1;
-2. a link gives (a+1)^{c-1} times the product of its components' E, where
-   ``braid.component_words`` gives each component's word, by strand
-   deletion: the Lickorish-Millett formula (Topology 26, 1987;
-   ``gamma_linking_formula``) with its linking number absorbed into h;
-   this covers split links and the empty word on two or more strands;
-3. a knot with a generator used once is a connected sum, cut there, and
-   E is the product of the summands' E;
-4. any other knot is conjugated to a word g g R, and E = E(R) + E(g R).
-So only knots are squared. For rule 4, in a rotation of the word, the
-prefix before the first letter g whose two strands have already crossed
-is a permutation braid with right descent g, so it equals Q g for a
-reduced word Q read off its permutation (Garside; El-Rifai and Morton).
+``gamma_positive`` is the fast engine for positive braid words. It cuts
+the closure into its components' words, by strand deletion
+(``braid.component_words``), and joins their values by the
+Lickorish-Millett formula (Topology 26, 1987; ``gamma_linking_formula``).
+Its memo holds knots only: for a knot of e letters on n strands, the
+normalised polynomial N = gamma / (-a)^h, where gamma is the zeroth
+coefficient polynomial and h = (e - n + 1)/2 is the genus. Three rules give
+N, each by adding or multiplying:
+1. a knot on one strand gives 1;
+2. a knot with a generator used once is a connected sum, cut there, and
+   N is the product of the summands' N;
+3. any other knot is conjugated to a word g g R, and
+   N = N(R) + (a+1) N(K1) N(K2), where K1 and K2 are the two components of
+   the link g R: the skein step, with the Lickorish-Millett formula for
+   g R and its linking number absorbed into h.
+So only knots are squared or stored. For rule 3, in a rotation of the
+word, the prefix before the first letter g whose two strands have already
+crossed is a permutation braid with right descent g, so it equals Q g for
+a reduced word Q read off its permutation (Garside; El-Rifai and Morton).
 The rotation taken is the first whose first recrossing is at the least
 generator g; one window sliding over the doubled word finds it, because a
 suffix of a permutation braid is one, so the window's end only moves
 right. That choice sets which sub-words a cold walk meets: 8/3's cable
-fills the memo with 192 entries, against 421 when the first rotation with
+fills the memo with 107 entries, against 232 when the first rotation with
 any recrossing is taken. When every rotation is a permutation braid, a
 walk over descent conjugates reaches a word with a rotation that is not
 (Geck and Pfeiffer), so the square search always ends and the engine never
 calls the oracle. The skein triple at the square g g R is of positive
 braid words: R is a knot, g R a two-component link, and both have fewer
-letters. Each engine's rules are a generator, ``_oracle_node`` or
-``_gamma_node``, that yields each sub-word it needs; one loop, ``_run``,
-runs both engines from a list of suspended nodes and alone reads and
-writes the memos, so Python's stack does not bound the depth.
+letters; so do K1 and K2, on fewer strands. Each engine's rules are a
+generator, ``_oracle_node`` or ``_gamma_node``, that yields each sub-word
+it needs; one loop, ``_run``, runs both engines from a list of suspended
+nodes and alone reads and writes the memos, so Python's stack does not
+bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -378,8 +379,8 @@ def _find_square(letters: tuple, n: int) -> tuple:
     the sub-words the skein steps yield. The least generator was chosen by
     measurement: on every iterated cable measured, a cold walk meets fewer
     of them than with the first rotation that has a recrossing (memo
-    entries: 8/3 192 against 421, 3/4 228 against 809, 11/3 344 against
-    828, 8/5 2,608 against 5,418).
+    entries: 8/3 107 against 232, 3/4 137 against 511, 11/3 187 against
+    446, 8/5 1,514 against 3,121).
 
     It cannot when each generator occurs at least twice, as in every word
     ``_gamma_node`` searches. Suppose no word reached has a rotation with a
@@ -417,17 +418,10 @@ def _split_word(n: int, letters: tuple, g: int):
 
 
 def _gamma_node(n: int, letters: tuple):
-    """The rules for one word: yield each sub-word (n, letters) needed, be
-    sent its E, and return this word's E = gamma / (-a)^h."""
+    """The rules for one knot: yield each sub-knot (n, letters) needed, be
+    sent its N, and return this knot's N = gamma / (-a)^h, h its genus."""
     if n == 1:
         return LaurentPoly.one()
-
-    words, _ = component_words(n, letters)
-    if len(words) > 1:
-        acc = ONE_PLUS_ALPHA ** (len(words) - 1)
-        for word in words:
-            acc = acc * (yield word)
-        return acc
 
     counts = [letters.count(g) for g in range(1, n)]
     if 1 in counts:
@@ -440,9 +434,11 @@ def _gamma_node(n: int, letters: tuple):
     # found = (g, g) + rest; skein triple of positive words. rest has the
     # knot's permutation, and the smoothing (g,) + rest two components.
     found = _find_square(letters, n)
-    g_minus = yield n, found[2:]
-    g_zero = yield n, found[1:]
-    return g_minus + g_zero
+    r = yield n, found[2:]
+    (first, second), _ = component_words(n, found[1:])
+    k1 = yield first
+    k2 = yield second
+    return r + ONE_PLUS_ALPHA * k1 * k2
 
 
 def gamma_positive(w: BraidWord) -> GammaResult:
@@ -453,43 +449,45 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     gamma = (a+1)^{s-1} (-a)^h N, where s = n - (number of distinct
     generators) counts split factors, h = (e - n + 2 - c)/2, a whole number
     since e has the parity of n - c, and N, the normalized polynomial, is
-    (a+1)^{c-s} times the product of E over the closure's components (see
-    the module docstring for E). The loop ``_run``, which runs both
-    engines, takes words of any length; only the caller's crossing budget
-    bounds the work, which grows fast with the strand count. Out of
-    memory, this raises ValueError.
+    (a+1)^{c-s} times the product of the memo's N over the closure's
+    components, which are knots (see the module docstring). The loop
+    ``_run``, which runs both engines, takes words of any length; only the
+    caller's crossing budget bounds the work, which grows fast with the
+    strand count. Out of memory, this raises ValueError.
 
     Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
-    Proof. First, each rule of ``_gamma_node`` gives E of the word: with
-    gamma_i, E_i, h_i and e_i, n_i, c_i for its sub-words,
-    - one strand: e = 0 and c = 1, so h = 0 and E = gamma = 1;
-    - a link, c >= 2: component i is a knot on n_i strands, sum n_i = n.
-      The e - sum e_i letters that are not in a component's word are the
-      crossings between components, each positive, so they number 2 lk,
-      where lk is the total linking number; so h = sum h_i + lk + 1 - c.
-      As -(1 + a^-1) = (a+1)/(-a), the Lickorish-Millett formula
-      gamma = (-1)^{c-1} (1 + a^-1)^{c-1} (-a)^lk prod gamma_i gives
-      E = (a+1)^{c-1} prod E_i;
-    - a connected sum at g, which a knot uses once: e = e1 + e2 + 1,
+    Proof. For a knot, c = s = 1 and h = (e - n + 1)/2 is the genus. First,
+    each rule of ``_gamma_node`` gives N = gamma / (-a)^h of its knot: with
+    gamma_i, N_i, h_i, e_i and n_i for the sub-knots,
+    - one strand: e = 0, so h = 0 and N = gamma = 1;
+    - a connected sum at g, which the knot uses once: e = e1 + e2 + 1,
       n = n1 + n2 and both summands are knots, so h = h1 + h2, and as
-      gamma = gamma1 gamma2, E = E1 E2;
-    - the square: the conjugate g g R has the closure, e and c of the word.
-      R is a knot of e - 2 letters and g R a link of e - 1 letters and 2
-      components, so h(R) = h(g R) = h - 1. As
-      gamma = -a (gamma(R) + gamma(g R)), E = E(R) + E(g R).
-    Each sub-word has a smaller e + n. So by induction on e + n, E of every
-    positive word lies in Z[a], has nonnegative coefficients and has a
+      gamma = gamma1 gamma2, N = N1 N2;
+    - the square: the conjugate g g R has the closure, e and n of the knot.
+      R is a knot of e - 2 letters, so h(R) = h - 1. The link g R of e - 1
+      letters has two components, knots K_i on n_i strands, n1 + n2 = n;
+      the e - 1 - e1 - e2 letters that are in neither word are the
+      crossings between them, each positive, so they number 2 lk, where lk
+      is the linking number, and h1 + h2 + lk = h. As
+      -(1 + a^-1) = (a+1)/(-a), the Lickorish-Millett formula
+      gamma(g R) = -(1 + a^-1) (-a)^lk gamma1 gamma2 gives
+      gamma(g R) = (a+1) (-a)^{h-1} N1 N2; and as
+      gamma = -a (gamma(R) + gamma(g R)), N = N(R) + (a+1) N1 N2.
+    Each sub-knot has fewer letters. So by induction on e, N of every
+    positive knot lies in Z[a], has nonnegative coefficients and has a
     constant term of at least 1: the rules only add and multiply such
-    polynomials and (a+1)^k, whose constant term is 1, and a sum or product
-    of them has a constant term at least that of one term or factor. Last,
-    by the link rule, E of the word is (a+1)^{c-1} prod E_i (for a knot,
-    c = 1 and the product is E), and c >= s because each split factor holds
-    a component; so N = (a+1)^{c-s} prod E_i has the same three properties,
-    and gamma = (a+1)^{s-1} (-a)^h N.
+    polynomials and a+1, whose constant term is 1, and a sum or product of
+    them has a constant term at least that of one term or factor. Last, for
+    the word's c components, counted as in the square step,
+    h = sum h_i + lk + 1 - c, and the Lickorish-Millett formula
+    gamma = (-1)^{c-1} (1 + a^-1)^{c-1} (-a)^lk prod gamma_i gives
+    gamma = (a+1)^{c-1} (-a)^h prod N_i; it covers split links and the
+    empty word on two or more strands. As c >= s, because each split factor
+    holds a component, N = (a+1)^{c-s} prod N_i has the same three
+    properties, and gamma = (a+1)^{s-1} (-a)^h N.
 
-    For a knot, s = 1 and h is the genus g, so gamma = (-a)^g N and the
-    lowest term of gamma^2 is N(0)^2 a^{2g}: gamma^2 = +-(-a)^m needs
-    m = 2g.
+    For a knot, gamma = (-a)^h N with h the genus, so the lowest term of
+    gamma^2 is N(0)^2 a^{2h}: gamma^2 = +-(-a)^m needs m = 2h.
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")

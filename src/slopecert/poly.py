@@ -189,10 +189,6 @@ class LaurentPoly(_Sparse):
     # class's own __mul__ sees this ring's products only
     __mul__ = __rmul__ = _Sparse.__mul__
 
-    def times_monomial(self, exp: int, coeff: int) -> "LaurentPoly":
-        """self * coeff * a^exp for a nonzero coeff: a shift of exponents."""
-        return self._wrap({e + exp: c * coeff for e, c in self._terms.items()})
-
     def coefficients(self):
         """Coefficients in ascending-exponent order."""
         return [c for _, c in self.items()]

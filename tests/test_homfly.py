@@ -491,7 +491,7 @@ class TestWorkIsPinned:
 
     @pytest.mark.parametrize(
         "slope, entries",
-        [((8, 3), 192), ((5, 3), 75), ((3, 4), 228), ((11, 3), 344), ((25, 6), 3306), ((21, 5), 647)],
+        [((8, 3), 107), ((5, 3), 43), ((3, 4), 137), ((11, 3), 187), ((25, 6), 1745), ((21, 5), 349)],
     )
     def test_cold_gamma_memo_size(self, slope, entries):
         _, w = choose_params(*slope)

@@ -6,8 +6,9 @@ checked on signed words.
 
 The fast engine's driver is checked against the recursive evaluator it
 replaced, kept here as a reference: both must give the same polynomial and
-fill the memo with the same entries in the same order. Every value in that
-memo must have the three properties of ``gamma_positive``'s lemma.
+fill the memo with the same entries in the same order. Every key in that
+memo must close to a knot, and every value must have the three properties
+of ``gamma_positive``'s lemma.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
@@ -154,29 +155,26 @@ def test_linking_formula_over_the_component_words(word):
 
 def reference_gamma_rec(n, letters):
     """The recursive evaluator that the driver loop replaced: the same
-    rules, memo reads and memo writes, on the call stack. It returns
-    E = gamma / (-a)^h, the value the memo holds."""
+    rules, memo reads and memo writes, on the call stack. It takes a knot
+    and returns N = gamma / (-a)^h, h its genus, the value the memo holds."""
     key = (n, _min_rotation(letters))
     cached = homfly._gamma_memo.get(key)
     if cached is not None:
         return cached
 
-    words, _ = component_words(n, letters)
     once = [g for g in range(1, n) if letters.count(g) == 1]
     if n == 1:
         result = LaurentPoly.one()
-    elif len(words) > 1:
-        result = ONE_PLUS_ALPHA ** (len(words) - 1)
-        for k, w in words:
-            result = result * reference_gamma_rec(k, w)
     elif once:
         (ln, lw), (rn, rw) = _split_word(n, letters, once[0])
         left = reference_gamma_rec(ln, lw)
         result = left * reference_gamma_rec(rn, rw)
     else:
         found = _find_square(letters, n)
-        g_minus = reference_gamma_rec(n, found[2:])
-        result = g_minus + reference_gamma_rec(n, found[1:])
+        r = reference_gamma_rec(n, found[2:])
+        (first, second), _ = component_words(n, found[1:])
+        k1 = reference_gamma_rec(*first)
+        result = r + ONE_PLUS_ALPHA * k1 * reference_gamma_rec(*second)
 
     homfly._gamma_memo[key] = result
     return result
@@ -277,3 +275,25 @@ def test_every_memo_value_is_a_normalized_polynomial(word):
 @pytest.mark.parametrize("slope", [(8, 3), (5, 3), (21, 5)])
 def test_every_memo_value_is_a_normalized_polynomial_on_cables(slope):
     assert_memo_holds_normalized_polynomials(choose_params(*slope)[1])
+
+
+def assert_memo_holds_knots(w):
+    # the engine's rules take knots only: the link formula runs on the
+    # input and inside the square rule, and its links are never stored
+    clear_caches()
+    gamma_positive(w)
+    assert homfly._gamma_memo
+    for key in homfly._gamma_memo:
+        assert max(closure_labels(*key)) == 0, key
+
+
+@PROFILE
+@given(positive_links())
+@example((2, (1, 1, 1)))
+def test_every_memo_key_is_a_knot(word):
+    assert_memo_holds_knots(BraidWord(*word))
+
+
+@pytest.mark.parametrize("slope", [(8, 3), (21, 5)])
+def test_every_memo_key_is_a_knot_on_cables(slope):
+    assert_memo_holds_knots(choose_params(*slope)[1])

@@ -37,11 +37,6 @@ class TestLaurentArithmetic:
     def test_distribute_over_shift(self):
         assert (A + ONE) * LP({-1: 1}) == LP({-1: 1, 0: 1})
 
-    def test_times_monomial_is_the_product(self):
-        p = LP({-2: 3, 0: -1, 5: 2})
-        for exp, coeff in ((1, -1), (-3, 2), (0, 1)):
-            assert p.times_monomial(exp, coeff) == p * LP({exp: coeff})
-
     def test_zero_coefficients_never_stored(self):
         p = LP({3: 5}) + LP({3: -5})
         assert p.is_zero()
