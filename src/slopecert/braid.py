@@ -81,13 +81,18 @@ class BraidWord:
 
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
-        """Parse the 'n: i1 i2 ...' text form (empty word: 'n:')."""
+        """Parse the 'n: i1 i2 ...' text form (empty word: 'n:'). Each
+        number is ASCII digits with an optional leading '-'; an error names
+        the first token that is not, and its place."""
         head, sep, tail = text.partition(":")
         if not sep:
             raise ValueError(f"missing ':' in braid word {text!r}")
-        n = int(head.strip())
-        letters = tuple(int(tok) for tok in tail.split())
-        return cls(n, letters)
+        tokens = [head.strip()] + tail.split()
+        for i, tok in enumerate(tokens):
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                where = f"letter {tok!r} at place {i}" if i else f"strand count {tok!r}"
+                raise ValueError(f"braid word {where} is not an integer")
+        return cls(int(tokens[0]), tuple(map(int, tokens[1:])))
 
 
 def _permutation(n: int, letters) -> list:

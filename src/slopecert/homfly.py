@@ -382,8 +382,9 @@ def _find_square(letters: tuple, n: int) -> tuple:
     entries: 8/3 107 against 232, 3/4 137 against 511, 11/3 187 against
     446, 8/5 1,514 against 3,121).
 
-    It cannot when each generator occurs at least twice, as in every word
-    ``_gamma_node`` searches. Suppose no word reached has a rotation with a
+    The walk always finds a square, so this never raises, when each
+    generator occurs at least twice, as in every word ``_gamma_node``
+    searches. Proof: suppose no word reached has a rotation with a
     recrossing; each is then a reduced word, and its moves depend only on
     its permutation.
     - The permutation w of ``letters`` has length 2(n-1) or more, above

@@ -19,9 +19,10 @@ layer kind:
   number lk.
 
 This module builds the trees by rewriting, with one node per distinct
-pattern, evaluates each node exactly over Z[a^{+-1}][H, C] as it builds
-it, and cross-checks against closed-form products and the factorized
-difference of the two polynomials.
+pattern, and evaluates each node exactly over Z[a^{+-1}][H, C] as it builds
+it. It also gives both polynomials as closed-form products and their
+factorized difference; ``expand`` proves that the trees equal the closed
+forms for every (q, r, t).
 """
 
 from __future__ import annotations
@@ -146,7 +147,22 @@ def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> Sk
     Equal patterns get one node, so the tree is a DAG and each distinct
     pattern is expanded and evaluated once. ``memo`` maps the patterns
     expanded so far to their nodes; calls with the same q*r that pass one
-    dict share nodes."""
+    dict share nodes.
+
+    The trees of ``kb_root`` and ``kg_root`` equal ``closed_form_kb`` and
+    ``closed_form_kg`` for every (q, r, t), by Kronecker's substitution:
+    - Unfolded, the DAG's shape and operations do not depend on (q, r, t),
+      and its linking numbers are 0, qr - qt and -qt. So every node value
+      and each closed form is the image of one element of
+      Z[a^{+-1}, X^{+-1}, Y^{+-1}][H, C] under X -> (-a)^{qr}, Y -> (-a)^{qt}.
+    - In size, a node's exponents of a, X and Y are at most 1 plus the sum
+      of its children's bounds, and the DAG is 5 edges deep, so all are
+      below 2^5 = 32.
+    - With K = 2^10, (1, K, K^2) sends a^i X^j Y^k to a^{i + jK + kK^2}
+      (no sign: K is even), one-to-one on |i|, |j|, |k| < K/2 = 512.
+    So equality at (1, K, K^2), which ``TestClosedForms`` in
+    tests/test_skein_tree.py checks, is equality in the free ring, and then
+    at every (q, r, t)."""
     if memo is None:
         memo = {}
     node = memo.get(expr)

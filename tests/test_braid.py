@@ -50,6 +50,22 @@ class TestBraidWord:
         assert BraidWord.parse("3:") == BraidWord(3, ())
         assert BraidWord.parse(" 4 : -1 3  -2 ") == BraidWord(4, (-1, 3, -2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3: 1 x", "braid word letter 'x' at place 2 is not an integer"),
+            ("3: \u0661 \u0662", "braid word letter '\u0661' at place 1 is not an integer"),
+            ("3: 1 +2", "braid word letter '+2' at place 2 is not an integer"),
+            ("3: 1_0", "braid word letter '1_0' at place 1 is not an integer"),
+            ("x: 1", "braid word strand count 'x' is not an integer"),
+            (": 1", "braid word strand count '' is not an integer"),
+        ],
+    )
+    def test_parse_names_the_first_token_that_is_not_an_ascii_integer(self, text, message):
+        with pytest.raises(ValueError) as info:
+            BraidWord.parse(text)
+        assert str(info.value) == message
+
     @PROFILE
     @given(signed_words)
     @example(BraidWord(1, ()))

@@ -59,10 +59,10 @@ needs_digit_limit = pytest.mark.skipif(
 
 
 @pytest.fixture
-def kg_closed_form_off(monkeypatch):
-    """closed_form_kg returns a changed value, so the second tree check fails."""
-    real = slopecert.certify.closed_form_kg
-    monkeypatch.setattr(slopecert.certify, "closed_form_kg", lambda q, r, t: real(q, r, t) + 1)
+def gamma_is_a_unit(monkeypatch):
+    """The fast engine gives the unit a, so the direct route's unit check fails."""
+    unit = slopecert.homfly.GammaResult(LaurentPoly({1: 1}), LaurentPoly({0: 1}))
+    monkeypatch.setattr(slopecert.certify, "gamma_positive", lambda w: unit)
 
 
 @pytest.fixture
@@ -101,8 +101,8 @@ class TestCertifySlope:
         assert (cert.braid.strands, len(cert.braid.letters)) == (2, 797)
         assert cert.diff_nonzero_reason == REASON_DIRECT
 
-    def test_a_failed_check_raises(self, kg_closed_form_off):
-        with pytest.raises(CertificateError, match="^second tree != closed form$"):
+    def test_a_failed_check_raises(self, gamma_is_a_unit):
+        with pytest.raises(CertificateError, match="^cable polynomial is a unit; cannot certify$"):
             certify_slope(2, 1)
 
     def test_out_of_range(self):
@@ -178,7 +178,7 @@ class TestCertifySlope:
 class TestRingWorkIsPinned:
     """Both skein trees of a slope are one DAG with one value per distinct
     pattern, so a certificate takes a fixed number of SkeinElem products:
-    21, where evaluating each tree on its own, node by node, takes 39."""
+    17, where evaluating each tree on its own, node by node, takes 35."""
 
     def test_skein_products_of_one_certificate(self, monkeypatch):
         products = []
@@ -191,7 +191,7 @@ class TestRingWorkIsPinned:
         monkeypatch.setattr(SkeinElem, "__mul__", counted)
         monkeypatch.setattr(SkeinElem, "__rmul__", counted)
         certify_slope(3, 2)
-        assert len(products) == 21
+        assert len(products) == 17
 
 
 json_values = st.recursive(
@@ -382,9 +382,9 @@ class TestBatch:
         assert single.error == "tuple (<int of 16610 bits>,) is not a slope: give 'P/Q', 'P' or a pair of ints"
         assert good.ok
 
-    def test_a_failed_check_is_recorded(self, kg_closed_form_off):
+    def test_a_failed_check_is_recorded(self, gamma_is_a_unit):
         report = batch(["2/1"])
-        assert report.summary_lines()[0] == "FAIL slope 2/1: second tree != closed form"
+        assert report.summary_lines()[0] == "FAIL slope 2/1: cable polynomial is a unit; cannot certify"
 
     def test_a_cable_deeper_than_the_recursion_limit_passes(self, too_deep_slope):
         slope, budget = too_deep_slope
@@ -480,9 +480,9 @@ class TestCli:
         assert err.startswith("error: cable word of at least 2**")
         assert err.rstrip().endswith("letters is too long to build")
 
-    def test_a_failed_check_is_an_error_line(self, kg_closed_form_off, capsys):
+    def test_a_failed_check_is_an_error_line(self, gamma_is_a_unit, capsys):
         assert main(["certify", "--slope", "2/1"]) == 1
-        assert capsys.readouterr().err == "error: second tree != closed form\n"
+        assert capsys.readouterr().err == "error: cable polynomial is a unit; cannot certify\n"
 
     def test_a_cable_deeper_than_the_recursion_limit_exits_0(self, too_deep_slope):
         slope, budget = too_deep_slope

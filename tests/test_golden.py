@@ -35,6 +35,20 @@ def test_long_cable_certificate_matches_committed_digest(p, q):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
+def test_every_committed_digest_matches():
+    """Each slope of the benchmark's digests, certified at the gamma budget
+    it is filed under; the digests are read, never written."""
+    mismatched, checked = [], 0
+    for budget, digests in json.loads(DIGESTS.read_text()).items():
+        for slope, expected in digests.items():
+            p, q = map(int, slope.split("/"))
+            text = certify_slope(p, q, gamma_budget=int(budget)).to_json()
+            if hashlib.sha256(text.encode("utf-8")).hexdigest() != expected:
+                mismatched.append(f"{slope} at budget {budget}")
+            checked += 1
+    assert checked and mismatched == []
+
+
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
 def test_polynomials_read_back_exactly(path):
     obj = json.loads(path.read_text())

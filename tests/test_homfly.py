@@ -486,8 +486,12 @@ class TestCableClosuresEmpirically:
 
 
 class TestWorkIsPinned:
-    """The memo key is a function of the word's rotation class alone, so a
-    cold evaluation of a benchmark cable fills the memo to a fixed size."""
+    """A cold evaluation of a benchmark cable fills the memo to a fixed size.
+    The size depends on the sub-words a walk meets, and ``_find_square``
+    picks its rotation relative to the word it is given, so it depends on
+    the order of the requests as well as on rotation classes: requesting K1
+    and K2 before R leaves 105 entries for 8/3, not 107. So the counts pin
+    the three rules of ``_gamma_node`` and its request order R, K1, K2."""
 
     @pytest.mark.parametrize(
         "slope, entries",

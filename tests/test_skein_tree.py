@@ -311,6 +311,27 @@ class TestClosedForms:
             assert kg == closed_form_kg(q, r, t)
             assert kb - kg == difference(q, r, t)
 
+    def test_trees_equal_closed_forms_in_the_free_ring(self):
+        # Kronecker's substitution (``expand``'s docstring): a^i X^j Y^k
+        # becomes a^(i + jK + kK^2) here, so equality at this one point is
+        # equality in the free ring while every exponent stays small
+        K = 2**10
+        q, r, t = 1, K, K * K
+        nodes = {}
+        kb = eval_tree(expand(kb_root(q, t), q, r, nodes))
+        kg = eval_tree(expand(kg_root(q, t), q, r, nodes))
+        assert kb == closed_form_kb(q, r, t)
+        assert kg == closed_form_kg(q, r, t)
+        assert kb - kg == difference(q, r, t)
+        for value in [node.value for node in nodes.values()] + [kb, kg, difference(q, r, t)]:
+            for _, poly in value.items():
+                for e, _ in poly.items():
+                    digits = []
+                    for _ in range(3):
+                        digits.append((e + K // 2) % K - K // 2)
+                        e = (e - digits[-1]) // K
+                    assert e == 0 and all(abs(d) < K // 4 for d in digits)
+
     def test_difference_matches_closed_forms(self):
         assert closed_form_kb(Q, R, T) - closed_form_kg(Q, R, T) == difference(Q, R, T)
 
