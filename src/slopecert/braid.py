@@ -82,16 +82,24 @@ class BraidWord:
     @classmethod
     def parse(cls, text: str) -> "BraidWord":
         """Parse the 'n: i1 i2 ...' text form (empty word: 'n:'). Each
-        number is ASCII digits with an optional leading '-'; an error names
-        the first token that is not, and its place."""
+        number is ASCII digits with an optional leading '-', and no more
+        digits than Python's int() limit; an error names the first token
+        that is not, and its place."""
         head, sep, tail = text.partition(":")
         if not sep:
             raise ValueError(f"missing ':' in braid word {text!r}")
         tokens = [head.strip()] + tail.split()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         for i, tok in enumerate(tokens):
-            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+            digits = tok.removeprefix("-")
+            if not (tok.isascii() and digits.isdigit()):
                 where = f"letter {tok!r} at place {i}" if i else f"strand count {tok!r}"
                 raise ValueError(f"braid word {where} is not an integer")
+            if 0 < limit < len(digits):
+                where = f"letter at place {i}" if i else "strand count"
+                raise ValueError(
+                    f"braid word {where} has {len(digits)} digits, more than Python's int() limit of {limit}"
+                )
         return cls(int(tokens[0]), tuple(map(int, tokens[1:])))
 
 

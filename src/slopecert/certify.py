@@ -23,6 +23,13 @@ not a unit, Gamma(-1) = 1, its normalised form is nonnegative and
 emitting a certificate. Facts true for every slope are proved in
 ``dual_gluing``, ``double_dual_gluing``, ``expand`` (the skein trees equal
 their closed forms) and ``difference``, and pinned by tests, instead.
+
+A ``Certificate`` stores only what ``certify_slope`` computed: ``params``,
+``braid``, ``gamma_cr``, ``kb``, ``kg`` and ``diff``. The gluing, dual and
+double-dual matrices, the induced slopes and the Euler characteristic are
+derived from ``params`` and ``braid`` when the certificate is written, and
+``genus``, ``gamma_cr_is_unit`` and ``diff_nonzero_reason`` are properties
+read from the stored fields.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -48,14 +54,7 @@ from .skein_tree import (
     kb_root,
     kg_root,
 )
-from .surgery import (
-    GluingMatrix,
-    SlopeParams,
-    choose_params,
-    dual_gluing,
-    double_dual_gluing,
-    induced_slopes,
-)
+from .surgery import SlopeParams, choose_params, dual_gluing, double_dual_gluing, induced_slopes
 
 SCHEMA_VERSION = 1
 DEFAULT_GAMMA_BUDGET = 16
@@ -112,40 +111,52 @@ def _json_text(obj: dict) -> str:
 
 @dataclass(frozen=True)
 class Certificate:
+    """What ``certify_slope`` computed for one slope (``gamma_cr`` is None
+    off the direct route); every other field of the written certificate is
+    derived from these (module docstring)."""
+
     params: SlopeParams
-    induced: Tuple[Fraction, Fraction, Fraction]
-    dual_matrix: GluingMatrix
-    double_dual_matrix: GluingMatrix
     braid: BraidWord
-    euler_char: int
-    genus: int
     gamma_cr: Optional[LaurentPoly]
-    gamma_cr_is_unit: Optional[bool]  # None means "not-computed"
     kb: SkeinElem
     kg: SkeinElem
     diff: SkeinElem
-    diff_nonzero_reason: str
 
     @property
     def slope(self) -> Tuple[int, int]:
         return (self.params.p, self.params.q)
 
+    @property
+    def genus(self) -> int:
+        # choose_params returns only chi < 1 (its docstring proves it), and a
+        # knot closure has 1 - chi even
+        return (1 - bennequin_euler_char(self.braid)) // 2
+
+    @property
+    def gamma_cr_is_unit(self) -> Optional[bool]:
+        """None when the direct route was not run."""
+        return None if self.gamma_cr is None else self.gamma_cr.is_unit()
+
+    @property
+    def diff_nonzero_reason(self) -> str:
+        return REASON_GENUS if self.gamma_cr is None else REASON_DIRECT
+
     def to_obj(self) -> dict:
+        A = self.params.matrix()
+        is_unit = self.gamma_cr_is_unit
         return {
             "schema_version": SCHEMA_VERSION,
             "slope": {"p": self.params.p, "q": self.params.q},
             "params": self.params.to_obj(),
-            "induced_slopes": [[f.numerator, f.denominator] for f in self.induced],
-            "gluing_matrix": self.params.matrix().rows(),
-            "dual_matrix": self.dual_matrix.rows(),
-            "double_dual_matrix": self.double_dual_matrix.rows(),
+            "induced_slopes": [[f.numerator, f.denominator] for f in induced_slopes(self.params)],
+            "gluing_matrix": A.rows(),
+            "dual_matrix": dual_gluing(A).rows(),
+            "double_dual_matrix": double_dual_gluing(A).rows(),
             "braid": str(self.braid),
-            "euler_char": self.euler_char,
+            "euler_char": bennequin_euler_char(self.braid),
             "genus": self.genus,
             "gamma_cr": None if self.gamma_cr is None else self.gamma_cr.to_pairs(),
-            "gamma_cr_is_unit": (
-                "not-computed" if self.gamma_cr_is_unit is None else self.gamma_cr_is_unit
-            ),
+            "gamma_cr_is_unit": "not-computed" if is_unit is None else is_unit,
             "kb": self.kb.to_rows(),
             "kg": self.kg.to_rows(),
             "diff": self.diff.to_rows(),
@@ -177,20 +188,12 @@ def certify_slope(
 ) -> Certificate:
     """Build and check the certificate for the slope p/q.
 
-    Raises ValueError outside the working range (p > 1, q >= 1, coprime)
+    Returns the six computed fields (the module docstring says which fields
+    are derived when the certificate is written). Raises ValueError outside the working range (p > 1, q >= 1, coprime)
     and CertificateError if a per-slope check (module docstring) fails.
     """
     params, w = choose_params(p, q, s_start)
-    A = params.matrix()
-    dual = dual_gluing(A)
-    double_dual = double_dual_gluing(A)
-    induced = induced_slopes(params)
-
     _check(closure_components(w) == 1, "cable closure is not a knot")
-    # choose_params returns only chi < 1 (its docstring proves it), and a knot
-    # closure has 1 - chi even
-    chi = bennequin_euler_char(w)
-    genus = (1 - chi) // 2
 
     q, r, t = params.q, params.r, params.t
     # the two trees are one DAG: each distinct pattern of this slope is
@@ -201,12 +204,10 @@ def certify_slope(
     diff = difference(q, r, t)
 
     gamma_cr: Optional[LaurentPoly] = None
-    gamma_is_unit: Optional[bool] = None
     if len(w.letters) <= gamma_budget:
         gres = gamma_positive(w)
         gamma_cr = gres.gamma
-        gamma_is_unit = gamma_cr.is_unit()
-        _check(not gamma_is_unit, "cable polynomial is a unit; cannot certify")
+        _check(not gamma_cr.is_unit(), "cable polynomial is a unit; cannot certify")
         _check(gamma_cr.evaluate(-1) == 1, "knot normalization Gamma(-1) = 1 fails")
         _check(
             all(c >= 0 for c in gres.gamma_normalized.coefficients()),
@@ -217,23 +218,7 @@ def certify_slope(
                 zeroth_gamma(homfly_oracle(w)) == gamma_cr,
                 "fast engine disagrees with the skein oracle",
             )
-
-    reason = REASON_DIRECT if gamma_cr is not None else REASON_GENUS
-    return Certificate(
-        params=params,
-        induced=induced,
-        dual_matrix=dual,
-        double_dual_matrix=double_dual,
-        braid=w,
-        euler_char=chi,
-        genus=genus,
-        gamma_cr=gamma_cr,
-        gamma_cr_is_unit=gamma_is_unit,
-        kb=kb,
-        kg=kg,
-        diff=diff,
-        diff_nonzero_reason=reason,
-    )
+    return Certificate(params=params, braid=w, gamma_cr=gamma_cr, kb=kb, kg=kg, diff=diff)
 
 
 _INTEGER = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # an int() literal; group 1 is its digit groups

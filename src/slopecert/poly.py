@@ -250,10 +250,8 @@ class BiLaurent(_Sparse):
     _add_keys = staticmethod(_add_pairs)
     __mul__ = __rmul__ = _Sparse.__mul__
 
-    def times_monomial(self, v_exp: int, z_exp: int, coeff: int = 1) -> "BiLaurent":
-        return BiLaurent(
-            {(v + v_exp, z + z_exp): c * coeff for (v, z), c in self._terms.items()}
-        )
+    def times_monomial(self, v_exp: int, z_exp: int) -> "BiLaurent":
+        return BiLaurent({(v + v_exp, z + z_exp): c for (v, z), c in self._terms.items()})
 
     def __str__(self) -> str:
         if not self._terms:

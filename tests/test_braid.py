@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,34 @@ signed_words = st.integers(1, 50).flatmap(
     lambda n: _signed_letters(n).map(lambda letters: BraidWord(n, tuple(letters)))
 )
 
+# Python's int() digit limit where the tests run; 0 means there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# one digit more than the default limit, so over it wherever a limit is set
+OVER_LIMIT = "1" * (max(DIGIT_LIMIT, 4300) + 1)
+
+# every message BraidWord.parse raises, by BraidWord's own checks
+PARSE_ERROR = re.compile(
+    r"missing ':' in braid word .*"
+    r"|braid word (strand count|letter) .* is not an integer"
+    r"|braid word (strand count|letter at place \d+) has \d+ digits, more than Python's int\(\) limit of \d+"
+    r"|need at least one strand"
+    r"|letter -?\d+ is not a generator on \d+ strands",
+    re.DOTALL,
+)
+
+
+def _braid_text(head, tail):
+    return f"{head}: {' '.join(map(str, tail))}"
+
+
+# arbitrary text, and 'n: ...' texts of small integers, some with junk tokens
+_tokens = st.one_of(st.integers(-5, 5).map(str), st.text(max_size=3))
+braid_texts = st.one_of(
+    st.text(),
+    st.builds(_braid_text, st.integers(1, 6), st.lists(st.integers(-2, 2), max_size=4)),
+    st.builds(_braid_text, _tokens, st.lists(_tokens, max_size=6)),
+)
+
 
 class TestBraidWord:
     def test_validation(self):
@@ -65,6 +95,32 @@ class TestBraidWord:
         with pytest.raises(ValueError) as info:
             BraidWord.parse(text)
         assert str(info.value) == message
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+    @pytest.mark.parametrize(
+        "template, where",
+        [("{}: 1", "strand count"), ("3: 1 {}", "letter at place 2"), ("3: -{}", "letter at place 1")],
+    )
+    def test_parse_names_a_number_past_the_int_digit_limit(self, template, where):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as info:
+            BraidWord.parse(template.format("1" * (limit + 1)))
+        message = str(info.value)
+        assert message == f"braid word {where} has {limit + 1} digits, more than Python's int() limit of {limit}"
+        assert len(message) < 200
+
+    @PROFILE
+    @given(braid_texts)
+    @example("3: 1 " + OVER_LIMIT)
+    @example(OVER_LIMIT + ": 1")
+    @example("3: 1 2 -2 1")
+    def test_parse_returns_a_word_or_raises_its_own_error(self, text):
+        try:
+            w = BraidWord.parse(text)
+        except ValueError as exc:
+            assert PARSE_ERROR.fullmatch(str(exc)), str(exc)[:200]
+        else:
+            assert BraidWord.parse(str(w)) == w
 
     @PROFILE
     @given(signed_words)

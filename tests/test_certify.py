@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from slopecert.braid import BraidWord
 from slopecert.certify import (
     REASON_DIRECT,
     REASON_GENUS,
+    Certificate,
     CertificateError,
     _json_text,
     batch,
@@ -100,6 +102,19 @@ class TestCertifySlope:
         cert = certify_slope(399, 1, gamma_budget=800)
         assert (cert.braid.strands, len(cert.braid.letters)) == (2, 797)
         assert cert.diff_nonzero_reason == REASON_DIRECT
+
+    def test_a_certificate_stores_only_what_certify_slope_computed(self, monkeypatch):
+        fields = [f.name for f in dataclasses.fields(Certificate)]
+        assert fields == ["params", "braid", "gamma_cr", "kb", "kg", "diff"]
+        derived = ["bennequin_euler_char", "double_dual_gluing", "dual_gluing", "induced_slopes"]
+        calls = []
+        for name in derived:
+            fn = getattr(slopecert.certify, name)
+            monkeypatch.setattr(slopecert.certify, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+        cert = certify_slope(5, 2)
+        assert calls == []
+        cert.to_json()
+        assert sorted(set(calls)) == derived
 
     def test_a_failed_check_raises(self, gamma_is_a_unit):
         with pytest.raises(CertificateError, match="^cable polynomial is a unit; cannot certify$"):

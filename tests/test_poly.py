@@ -132,8 +132,8 @@ class TestBiLaurent:
         assert dict((delta**2).items())[(-2, -2)] == 1
 
     def test_times_monomial(self):
-        p = BiLaurent({(0, 0): 3})
-        assert p.times_monomial(2, -1, coeff=-1) == BiLaurent({(2, -1): -3})
+        p = BiLaurent({(0, 0): 3, (1, 2): -1})
+        assert p.times_monomial(2, -1) == BiLaurent({(2, -1): 3, (3, 1): -1})
 
 
 class TestSkeinElem:
