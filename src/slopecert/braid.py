@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
+from .quote import clip, quote
+
 if TYPE_CHECKING:
     from .surgery import SlopeParams
 
@@ -62,7 +64,7 @@ class BraidWord:
             if 0 in block or max(block) >= n or min(block) <= -n:
                 # name the first bad letter
                 x = next(x for x in block if x == 0 or abs(x) >= n)
-                raise ValueError(f"letter {x} is not a generator on {n} strands")
+                raise ValueError(f"letter {quote(x)} is not a generator on {quote(n)} strands")
             kept.append((block, count))
             letters += block * count
         object.__setattr__(self, "runs", tuple(kept))
@@ -84,16 +86,18 @@ class BraidWord:
         """Parse the 'n: i1 i2 ...' text form (empty word: 'n:'). Each
         number is ASCII digits with an optional leading '-', and no more
         digits than Python's int() limit; an error names the first token
-        that is not, and its place."""
+        that is not, and its place, quoting a long text by its start
+        (``quote.clip``)."""
         head, sep, tail = text.partition(":")
         if not sep:
-            raise ValueError(f"missing ':' in braid word {text!r}")
+            raise ValueError(f"missing ':' in braid word {clip(text, repr)}")
         tokens = [head.strip()] + tail.split()
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         for i, tok in enumerate(tokens):
             digits = tok.removeprefix("-")
             if not (tok.isascii() and digits.isdigit()):
-                where = f"letter {tok!r} at place {i}" if i else f"strand count {tok!r}"
+                shown = clip(tok, repr)
+                where = f"letter {shown} at place {i}" if i else f"strand count {shown}"
                 raise ValueError(f"braid word {where} is not an integer")
             if 0 < limit < len(digits):
                 where = f"letter at place {i}" if i else "strand count"

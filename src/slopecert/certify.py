@@ -45,6 +45,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
 from .homfly import DEFAULT_ORACLE_BUDGET, gamma_positive, homfly_oracle, zeroth_gamma
 from .poly import LaurentPoly, SkeinElem
+from .quote import clip, quote, safe_repr
 from .skein_tree import (
     closed_form_kb,
     closed_form_kg,
@@ -189,8 +190,9 @@ def certify_slope(
     """Build and check the certificate for the slope p/q.
 
     Returns the six computed fields (the module docstring says which fields
-    are derived when the certificate is written). Raises ValueError outside the working range (p > 1, q >= 1, coprime)
-    and CertificateError if a per-slope check (module docstring) fails.
+    are derived when the certificate is written). Raises ValueError outside
+    the working range (p > 1, q >= 1, coprime) and CertificateError if a
+    per-slope check (module docstring) fails.
     """
     params, w = choose_params(p, q, s_start)
     _check(closure_components(w) == 1, "cable closure is not a knot")
@@ -224,11 +226,6 @@ def certify_slope(
 _INTEGER = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # an int() literal; group 1 is its digit groups
 
 
-def _clip(text: str, show=str) -> str:
-    """``show(text)``, or ``show`` of its first 32 characters and its length."""
-    return show(text) if len(text) <= 32 else f"{show(text[:32])}... ({len(text)} characters)"
-
-
 def parse_slope(text: str) -> Tuple[int, int]:
     """Parse 'P/Q' or a bare integer 'P' into a (p, q) pair with q >= 1,
     moving the sign into p; a zero denominator is an error. An error quotes
@@ -246,7 +243,7 @@ def parse_slope(text: str) -> Tuple[int, int]:
             n = len(match[1].replace("_", "")) if match else 0
             if 0 < limit < n:
                 reason = f"its {name} has {n} digits, more than Python's int() limit of {limit}"
-        raise ValueError(f"invalid slope {_clip(text, repr)}: {reason}") from None
+        raise ValueError(f"invalid slope {clip(text, repr)}: {reason}") from None
     if q == 0:
         raise ValueError("slope denominator is zero")
     return (-p, -q) if q < 0 else (p, q)
@@ -284,18 +281,6 @@ class BatchReport:
         return lines
 
 
-def _text(item) -> str:
-    """``repr(item)``, writing an int with more digits than int-to-text
-    conversion allows (alone or in a tuple) by its bit length, and any
-    other item whose repr fails by its type."""
-    if type(item) is tuple:
-        return "(" + ", ".join(map(_text, item)) + ("," if len(item) == 1 else "") + ")"
-    try:
-        return repr(item)
-    except ValueError:
-        return f"<int of {item.bit_length()} bits>" if type(item) is int else f"<{type(item).__name__}>"
-
-
 def batch(
     slopes: Iterable[Union[str, Tuple[int, int]]],
     s_start: int = 1,
@@ -309,14 +294,15 @@ def batch(
     a pair of ints (labelled by its repr), a pair holding an int too long to
     write as text (labelled by its bit length), a slope that does not parse,
     one outside the working range, a cable too large to build, an engine
-    out of memory, or a failed internal check. A text label (and
-    ``mirror_of``) longer than 32 characters is quoted by its start.
+    out of memory, or a failed internal check. A label (and ``mirror_of``)
+    longer than 32 characters is quoted by its start and its length
+    (``quote.clip``).
     """
     report = BatchReport()
     for item in slopes:
         pair = isinstance(item, (tuple, list)) and len(item) == 2 and all(type(x) is int for x in item)
         if not (pair or isinstance(item, str)):
-            text = _text(item)
+            text = quote(item)
             error = f"{type(item).__name__} {text} is not a slope: give 'P/Q', 'P' or a pair of ints"
             report.entries.append(BatchEntry(slope=text, error=error))
             continue
@@ -324,10 +310,10 @@ def batch(
             # an int with more digits than int-to-text conversion allows fails here
             p, q = parse_slope("{}/{}".format(*item) if pair else item)
         except ValueError as exc:
-            label = "{}/{}".format(*map(_text, item)) if pair else _clip(item.strip())
+            label = clip("{}/{}".format(*map(safe_repr, item)) if pair else item.strip())
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
-        entry = BatchEntry(slope=_clip(f"{abs(p)}/{q}"), mirror_of=_clip(f"{p}/{q}") if p < 0 else None)
+        entry = BatchEntry(slope=clip(f"{abs(p)}/{q}"), mirror_of=clip(f"{p}/{q}") if p < 0 else None)
         try:
             entry.certificate = certify_slope(
                 abs(p), q, s_start=s_start, gamma_budget=gamma_budget, verify_oracle=verify_oracle

@@ -16,8 +16,9 @@ normalised polynomial N = gamma / (-a)^h, where gamma is the zeroth
 coefficient polynomial and h = (e - n + 1)/2 is the genus. Three rules give
 N, each by adding or multiplying:
 1. a knot on one strand gives 1;
-2. a knot with a generator used once is a connected sum, cut there, and
-   N is the product of the summands' N;
+2. a knot with a generator g used once is a connected sum: without that
+   letter it closes to the split link of the two summands, whose words
+   ``component_words`` gives, and N is the product of the summands' N;
 3. any other knot is conjugated to a word g g R, and
    N = N(R) + (a+1) N(K1) N(K2), where K1 and K2 are the two components of
    the link g R: the skein step, with the Lickorish-Millett formula for
@@ -410,26 +411,22 @@ def _find_square(letters: tuple, n: int) -> tuple:
     raise ValueError(f"no square for {BraidWord(n, letters)}: a generator occurs less than twice")
 
 
-def _split_word(n: int, letters: tuple, g: int):
-    """Cut the word at generator g, which occurs once, into the
-    sub-braids on strands 1..g and g+1..n, dropping g."""
-    left = tuple(x for x in letters if x < g)
-    right = tuple(x - g for x in letters if x > g)
-    return (g, left), (n - g, right)
-
-
 def _gamma_node(n: int, letters: tuple):
     """The rules for one knot: yield each sub-knot (n, letters) needed, be
-    sent its N, and return this knot's N = gamma / (-a)^h, h its genus."""
+    sent its N, and return this knot's N = gamma / (-a)^h, h its genus.
+    Rules 2 and 3 each delete one letter, which leaves a two-component
+    link, and take its components' words from ``component_words``."""
     if n == 1:
         return LaurentPoly.one()
 
     counts = [letters.count(g) for g in range(1, n)]
     if 1 in counts:
-        # a knot uses every generator; cut it at the first one used once
-        (ln, lw), (rn, rw) = _split_word(n, letters, counts.index(1) + 1)
-        left = yield ln, lw
-        right = yield rn, rw
+        # a knot uses every generator; without the least one used once it
+        # closes to the split link of the two summands
+        i = letters.index(counts.index(1) + 1)
+        (first, second), _ = component_words(n, letters[:i] + letters[i + 1 :])
+        left = yield first
+        right = yield second
         return left * right
 
     # found = (g, g) + rest; skein triple of positive words. rest has the
@@ -461,9 +458,11 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     each rule of ``_gamma_node`` gives N = gamma / (-a)^h of its knot: with
     gamma_i, N_i, h_i, e_i and n_i for the sub-knots,
     - one strand: e = 0, so h = 0 and N = gamma = 1;
-    - a connected sum at g, which the knot uses once: e = e1 + e2 + 1,
-      n = n1 + n2 and both summands are knots, so h = h1 + h2, and as
-      gamma = gamma1 gamma2, N = N1 N2;
+    - a connected sum at g, which the knot uses once: the word without
+      that letter is a braid on strands 1..g beside one on g+1..n, whose
+      closures are the summands, so ``component_words`` gives their words.
+      e = e1 + e2 + 1, n = n1 + n2 and both summands are knots, so
+      h = h1 + h2, and as gamma = gamma1 gamma2, N = N1 N2;
     - the square: the conjugate g g R has the closure, e and n of the knot.
       R is a knot of e - 2 letters, so h(R) = h - 1. The link g R of e - 1
       letters has two components, knots K_i on n_i strands, n1 + n2 = n;

@@ -25,6 +25,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
+from .quote import quote
+
 _R = TypeVar("_R", bound="_Sparse")
 
 
@@ -43,10 +45,18 @@ def _gather(items, out: Optional[dict] = None) -> dict:
     return out
 
 
+def _entries(value, what: str):
+    """``value``, which must be a JSON list (or tuple); ``what`` names its
+    entries in the error."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{quote(value)}: expected a list of {what}")
+    return value
+
+
 def _fields(entry, size: int) -> tuple:
     """The fields of a JSON entry, a list (or tuple) of exactly ``size``."""
     if not isinstance(entry, (list, tuple)) or len(entry) != size:
-        raise ValueError(f"{entry!r}: expected {size} fields")
+        raise ValueError(f"{quote(entry)}: expected {size} fields")
     return tuple(entry)
 
 
@@ -54,7 +64,7 @@ def _ints(entry) -> tuple:
     """The two fields of a JSON pair, each an int (a bool is not one)."""
     pair = _fields(entry, 2)
     if not all(type(x) is int for x in pair):
-        raise ValueError(f"{entry!r}: every field must be an int")
+        raise ValueError(f"{quote(entry)}: every field must be an int")
     return pair
 
 
@@ -227,7 +237,7 @@ class LaurentPoly(_Sparse):
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls(_ints(pair) for pair in pairs)
+        return cls(_ints(pair) for pair in _entries(pairs, "pairs"))
 
 
 ALPHA = LaurentPoly({1: 1})
@@ -330,7 +340,7 @@ class SkeinElem(_Sparse):
     @classmethod
     def from_rows(cls, rows) -> "SkeinElem":
         terms = {}
-        for row in rows:
+        for row in _entries(rows, "rows"):
             h, c, pairs = _fields(row, 3)
             terms[_ints((h, c))] = LaurentPoly.from_pairs(pairs)
         return cls(terms)

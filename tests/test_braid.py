@@ -40,13 +40,15 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 # one digit more than the default limit, so over it wherever a limit is set
 OVER_LIMIT = "1" * (max(DIGIT_LIMIT, 4300) + 1)
 
+# an int as an error quotes it: whole, or by its start and length when long
+_QUOTED_INT = r"-?\d+(\.\.\. \(\d+ characters\))?"
 # every message BraidWord.parse raises, by BraidWord's own checks
 PARSE_ERROR = re.compile(
     r"missing ':' in braid word .*"
     r"|braid word (strand count|letter) .* is not an integer"
     r"|braid word (strand count|letter at place \d+) has \d+ digits, more than Python's int\(\) limit of \d+"
     r"|need at least one strand"
-    r"|letter -?\d+ is not a generator on \d+ strands",
+    rf"|letter {_QUOTED_INT} is not a generator on {_QUOTED_INT} strands",
     re.DOTALL,
 )
 
@@ -113,6 +115,7 @@ class TestBraidWord:
     @given(braid_texts)
     @example("3: 1 " + OVER_LIMIT)
     @example(OVER_LIMIT + ": 1")
+    @example("3: " + "1" * 4000)
     @example("3: 1 2 -2 1")
     def test_parse_returns_a_word_or_raises_its_own_error(self, text):
         try:

@@ -297,6 +297,29 @@ class TestParseSlope:
         assert len(line) < 300
 
 
+# each reader of outside text, with an input whose error once quoted it
+# whole, and the text that the error quotes
+LONG_INPUTS = {
+    "parse-no-colon": (BraidWord.parse, "x" * 5000, "x" * 5000),
+    "parse-strand-count": (BraidWord.parse, "y" * 5000 + ": 1", "y" * 5000),
+    "parse-letter": (BraidWord.parse, "3: " + "x" * 5000, "x" * 5000),
+    "parse-generator": (BraidWord.parse, "3: " + "1" * 4000, "1" * 4000),
+    "pairs-field": (LaurentPoly.from_pairs, [["x" * 5000, 1]], repr(["x" * 5000, 1])),
+    "pairs-length": (LaurentPoly.from_pairs, [[1] * 5000], repr([1] * 5000)),
+    "rows-length": (SkeinElem.from_rows, [[0] * 5000], repr([0] * 5000)),
+}
+
+
+@pytest.mark.parametrize("read, value, quoted", LONG_INPUTS.values(), ids=LONG_INPUTS)
+def test_a_reader_quotes_a_long_input_by_its_start_and_length(read, value, quoted):
+    with pytest.raises(ValueError) as info:
+        read(value)
+    message = str(info.value)
+    assert len(message) < 200
+    assert quoted[:32] in message
+    assert f"({len(quoted)} characters)" in message
+
+
 class TestBatch:
     def test_three_good_slopes(self):
         report = batch(["2/1", "3/1", "5/1"])
@@ -321,7 +344,13 @@ class TestBatch:
 
     @pytest.mark.parametrize(
         "item, label",
-        [((3,), "(3,)"), ((3, 2, 1), "(3, 2, 1)"), (("3", "2"), "('3', '2')"), ((3.0, 2), "(3.0, 2)")],
+        [
+            ((3,), "(3,)"),
+            ((3, 2, 1), "(3, 2, 1)"),
+            (("3", "2"), "('3', '2')"),
+            ((3.0, 2), "(3.0, 2)"),
+            ((1,) * 50, repr((1,) * 50)[:32] + "... (150 characters)"),
+        ],
     )
     def test_an_item_that_is_not_a_pair_of_ints_is_recorded(self, item, label):
         bad, good = batch([item, (2, 1)]).entries

@@ -6,7 +6,8 @@ checked on signed words.
 
 The fast engine's driver is checked against the recursive evaluator it
 replaced, kept here as a reference: both must give the same polynomial and
-fill the memo with the same entries in the same order. Every key in that
+fill the memo with the same entries in the same order. The reference cuts a
+connected sum by its own split, so that check compares two cuts. Every key in that
 memo must close to a knot, and every value must have the three properties
 of ``gamma_positive``'s lemma.
 
@@ -25,7 +26,6 @@ from slopecert.braid import BraidWord, closure_labels, component_words
 from slopecert.homfly import (
     _find_square,
     _min_rotation,
-    _split_word,
     clear_caches,
     gamma_linking_formula,
     gamma_positive,
@@ -166,9 +166,11 @@ def reference_gamma_rec(n, letters):
     if n == 1:
         result = LaurentPoly.one()
     elif once:
-        (ln, lw), (rn, rw) = _split_word(n, letters, once[0])
-        left = reference_gamma_rec(ln, lw)
-        result = left * reference_gamma_rec(rn, rw)
+        # cut directly, not by strand deletion as the driver does: the
+        # summands are the braids on strands 1..g and g+1..n, without g
+        g = once[0]
+        left = reference_gamma_rec(g, tuple(x for x in letters if x < g))
+        result = left * reference_gamma_rec(n - g, tuple(x - g for x in letters if x > g))
     else:
         found = _find_square(letters, n)
         r = reference_gamma_rec(n, found[2:])

@@ -123,6 +123,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: expected 2 fields$"):
             LaurentPoly.from_pairs(pairs)
 
+    @pytest.mark.parametrize(
+        "read, value, message",
+        [
+            (LaurentPoly.from_pairs, 3, "3: expected a list of pairs"),
+            (LaurentPoly.from_pairs, None, "None: expected a list of pairs"),
+            (LaurentPoly.from_pairs, "ab", "'ab': expected a list of pairs"),
+            (LaurentPoly.from_pairs, {"0": 1}, "{'0': 1}: expected a list of pairs"),
+            (SkeinElem.from_rows, 7, "7: expected a list of rows"),
+            (SkeinElem.from_rows, [[0, 0, None]], "None: expected a list of pairs"),
+        ],
+    )
+    def test_a_container_that_is_not_a_list_is_rejected(self, read, value, message):
+        with pytest.raises(ValueError) as info:
+            read(value)
+        assert str(info.value) == message
+
 
 class TestBiLaurent:
     def test_arithmetic(self):

@@ -102,6 +102,40 @@ def test_laurent_text_and_pair_round_trips(a):
     assert LaurentPoly.from_pairs(a.to_pairs()) == a
 
 
+# arbitrary JSON values: scalars (ints past Python's int-to-text digit
+# limit among them) nested in lists and dicts
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.builds(lambda k, sign: sign * 10**k, st.integers(4300, 4400), st.sampled_from((1, -1))),
+    st.floats(),
+    st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@PROFILE
+@given(json_values)
+@example(3)
+@example("ab")
+@example({"0": 1})
+@example([[0, 0, None]])
+@example([[10**5000, 1]])
+@example([[0, 0, [[10**5000, "x"]]]])
+@example([["x" * 5000, 1]])
+def test_readers_return_a_polynomial_or_a_short_value_error(value):
+    for read, cls in ((LaurentPoly.from_pairs, LaurentPoly), (SkeinElem.from_rows, SkeinElem)):
+        try:
+            assert type(read(value)) is cls
+        except ValueError as exc:
+            assert len(str(exc)) < 200
+
+
 @PROFILE
 @given(skein)
 def test_skein_rows_round_trip(x):
