@@ -75,9 +75,32 @@ def _check(condition: bool, message: str) -> None:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
+def _json_pairs(pairs, nl: str) -> str:
+    """A list of (int, int) tuples as ``_json_value`` writes a list of
+    two-int lists: one %-format per pair."""
+    if not pairs:
+        return "[]"
+    inner = nl + "  "
+    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+    return "[" + inner + ("," + inner).join([pair % p for p in pairs]) + nl + "]"
+
+
+def _json_rows(elem: SkeinElem, nl: str) -> str:
+    """``elem.to_rows()`` as ``_json_value`` writes it, without building it."""
+    if not elem:
+        return "[]"
+    inner = nl + "  "
+    field = inner + "  "
+    row = "[" + field + "%d," + field + "%d," + field + "%s" + inner + "]"
+    rows = [row % (h, c, _json_pairs(poly.items(), field)) for (h, c), poly in elem.items()]
+    return "[" + inner + ("," + inner).join(rows) + nl + "]"
+
+
 def _json_value(v, nl: str) -> str:
     """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, where
-    ``nl`` is a newline plus the indent of the line ``v`` starts on.
+    ``nl`` is a newline plus the indent of the line ``v`` starts on; a
+    ``LaurentPoly`` or ``SkeinElem`` is written flat as its ``to_pairs()``
+    or ``to_rows()``, and so is any list of two-int lists.
 
     Types are matched exactly, so an int subclass raises instead of being
     written as a bool; strings go through the encoder ``json.dumps`` uses."""
@@ -87,6 +110,8 @@ def _json_value(v, nl: str) -> str:
     if t is list:
         if not v:
             return "[]"
+        if all(type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is int for x in v):
+            return _json_pairs([(x[0], x[1]) for x in v], nl)
         inner = nl + "  "
         return "[" + inner + ("," + inner).join([_json_value(x, inner) for x in v]) + nl + "]"
     if t is str:
@@ -97,6 +122,10 @@ def _json_value(v, nl: str) -> str:
         inner = nl + "  "
         items = [_json_string(k) + ": " + _json_value(v[k], inner) for k in sorted(v)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is LaurentPoly:
+        return _json_pairs(v.items(), nl)
+    if t is SkeinElem:
+        return _json_rows(v, nl)
     if v is None or t is bool:
         return _JSON_CONSTANTS[v]
     raise TypeError(f"a certificate holds no {t.__name__} value")
@@ -104,7 +133,8 @@ def _json_value(v, nl: str) -> str:
 
 def _json_text(obj: dict) -> str:
     """The one JSON text form of a certificate object:
-    ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, written by
+    ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline (with each
+    polynomial as its ``to_pairs()`` or ``to_rows()``), written by
     ``_json_value`` because the indented ``json.dumps`` never uses the C
     encoder."""
     return _json_value(obj, "\n") + "\n"
@@ -142,7 +172,10 @@ class Certificate:
     def diff_nonzero_reason(self) -> str:
         return REASON_GENUS if self.gamma_cr is None else REASON_DIRECT
 
-    def to_obj(self) -> dict:
+    def _fields(self) -> dict:
+        """The certificate object, with its polynomials as ``LaurentPoly``
+        and ``SkeinElem`` values: ``to_obj`` converts them, and
+        ``_json_text`` writes them directly."""
         A = self.params.matrix()
         is_unit = self.gamma_cr_is_unit
         return {
@@ -156,16 +189,24 @@ class Certificate:
             "braid": str(self.braid),
             "euler_char": bennequin_euler_char(self.braid),
             "genus": self.genus,
-            "gamma_cr": None if self.gamma_cr is None else self.gamma_cr.to_pairs(),
+            "gamma_cr": self.gamma_cr,
             "gamma_cr_is_unit": "not-computed" if is_unit is None else is_unit,
-            "kb": self.kb.to_rows(),
-            "kg": self.kg.to_rows(),
-            "diff": self.diff.to_rows(),
+            "kb": self.kb,
+            "kg": self.kg,
+            "diff": self.diff,
             "diff_nonzero_reason": self.diff_nonzero_reason,
         }
 
+    def to_obj(self) -> dict:
+        obj = self._fields()
+        for key in ("kb", "kg", "diff"):
+            obj[key] = obj[key].to_rows()
+        if self.gamma_cr is not None:
+            obj["gamma_cr"] = self.gamma_cr.to_pairs()
+        return obj
+
     def to_json(self) -> str:
-        return _json_text(self.to_obj())
+        return _json_text(self._fields())
 
     def summary(self) -> str:
         p, q = self.slope
@@ -226,6 +267,29 @@ def certify_slope(
 _INTEGER = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # an int() literal; group 1 is its digit groups
 
 
+def _past_int_limit(denominator: int, numerator: int) -> Optional[str]:
+    """Why a slope with parts of these digit counts cannot be converted
+    between int and text, naming the numerator if both are past Python's
+    int() limit; None if neither is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reason = None
+    for name, n in (("denominator", denominator), ("numerator", numerator)):
+        if 0 < limit < n:
+            reason = f"its {name} has {n} digits, more than Python's int() limit of {limit}"
+    return reason
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of |n|, counted without writing n as
+    text: from a lower bound by its bit length (log10(2) > 0.30102), up
+    by comparing with powers of ten."""
+    n = abs(n)
+    d = max(1, n.bit_length() * 30102 // 100000)
+    while n >= 10**d:
+        d += 1
+    return d
+
+
 def parse_slope(text: str) -> Tuple[int, int]:
     """Parse 'P/Q' or a bare integer 'P' into a (p, q) pair with q >= 1,
     moving the sign into p; a zero denominator is an error. An error quotes
@@ -236,13 +300,11 @@ def parse_slope(text: str) -> Tuple[int, int]:
     try:
         p, q = int(num), int(den) if slash else 1
     except ValueError:
-        reason = "a slope is P/Q or an integer P"
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        for name, part in (("denominator", den), ("numerator", num)):
+        counts = []
+        for part in (den, num):
             match = _INTEGER.fullmatch(part)
-            n = len(match[1].replace("_", "")) if match else 0
-            if 0 < limit < n:
-                reason = f"its {name} has {n} digits, more than Python's int() limit of {limit}"
+            counts.append(len(match[1].replace("_", "")) if match else 0)
+        reason = _past_int_limit(*counts) or "a slope is P/Q or an integer P"
         raise ValueError(f"invalid slope {clip(text, repr)}: {reason}") from None
     if q == 0:
         raise ValueError("slope denominator is zero")
@@ -292,7 +354,8 @@ def batch(
     A negative slope p/q is certified as its mirror -p/q, recorded in the
     entry's ``mirror_of``. A failure is an item that is neither a text nor
     a pair of ints (labelled by its repr), a pair holding an int too long to
-    write as text (labelled by its bit length), a slope that does not parse,
+    write as text (labelled by its bit length; the error names the part and
+    its digit count as ``parse_slope`` does), a slope that does not parse,
     one outside the working range, a cable too large to build, an engine
     out of memory, or a failed internal check. A label (and ``mirror_of``)
     longer than 32 characters is quoted by its start and its length
@@ -306,11 +369,14 @@ def batch(
             error = f"{type(item).__name__} {text} is not a slope: give 'P/Q', 'P' or a pair of ints"
             report.entries.append(BatchEntry(slope=text, error=error))
             continue
+        label = clip("{}/{}".format(*map(safe_repr, item)) if pair else item.strip())
+        too_long = pair and _past_int_limit(_digits(item[1]), _digits(item[0]))
+        if too_long:
+            report.entries.append(BatchEntry(slope=label, error=f"invalid slope {label}: {too_long}"))
+            continue
         try:
-            # an int with more digits than int-to-text conversion allows fails here
             p, q = parse_slope("{}/{}".format(*item) if pair else item)
         except ValueError as exc:
-            label = clip("{}/{}".format(*map(safe_repr, item)) if pair else item.strip())
             report.entries.append(BatchEntry(slope=label, error=str(exc)))
             continue
         entry = BatchEntry(slope=clip(f"{abs(p)}/{q}"), mirror_of=clip(f"{p}/{q}") if p < 0 else None)

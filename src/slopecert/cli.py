@@ -74,7 +74,7 @@ def _certificate_json(entry) -> str:
 
     ``mirror_of`` stays out of ``Certificate.to_obj``: a certificate is a
     function of its positive slope alone."""
-    obj = entry.certificate.to_obj()
+    obj = entry.certificate._fields()
     obj["mirror_of"] = entry.mirror_of
     return _json_text(obj)
 

@@ -237,7 +237,19 @@ class LaurentPoly(_Sparse):
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls(_ints(pair) for pair in _entries(pairs, "pairs"))
+        """The inverse of ``to_pairs``: anything it would not write, such as
+        a zero coefficient or an exponent not above the one before it, is
+        rejected, naming the first such pair."""
+        terms = {}
+        for pair in _entries(pairs, "pairs"):
+            e, c = _ints(pair)
+            if not c:
+                raise ValueError(f"{quote(pair)}: a coefficient is never 0")
+            if terms and e <= last:
+                raise ValueError(f"{quote(pair)}: exponents must strictly ascend")
+            terms[e] = c
+            last = e
+        return cls._wrap(terms)
 
 
 ALPHA = LaurentPoly({1: 1})
@@ -339,8 +351,20 @@ class SkeinElem(_Sparse):
 
     @classmethod
     def from_rows(cls, rows) -> "SkeinElem":
+        """The inverse of ``to_rows``: anything it would not write, such as a
+        negative degree, an empty row or an (h, c) not above the one before
+        it, is rejected, naming the first such row."""
         terms = {}
         for row in _entries(rows, "rows"):
             h, c, pairs = _fields(row, 3)
-            terms[_ints((h, c))] = LaurentPoly.from_pairs(pairs)
-        return cls(terms)
+            key = _ints((h, c))
+            if h < 0 or c < 0:
+                raise ValueError(f"{quote(row)}: H and C degrees must be nonnegative")
+            if terms and key <= last:
+                raise ValueError(f"{quote(row)}: (h, c) degrees must strictly ascend")
+            poly = LaurentPoly.from_pairs(pairs)
+            if not poly:
+                raise ValueError(f"{quote(row)}: a row is never empty")
+            terms[key] = poly
+            last = key
+        return cls._wrap(terms)

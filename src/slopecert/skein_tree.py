@@ -20,9 +20,10 @@ layer kind:
 
 This module builds the trees by rewriting, with one node per distinct
 pattern, and evaluates each node exactly over Z[a^{+-1}][H, C] as it builds
-it. It also gives both polynomials as closed-form products and their
-factorized difference; ``expand`` proves that the trees equal the closed
-forms for every (q, r, t).
+it. It also gives both polynomials in closed form, and their difference:
+each is four fixed Laurent polynomials, one per (H, C) bucket, shifted by
+powers of -a that depend on (q, r, t). ``expand`` proves that the trees
+equal the closed forms for every (q, r, t).
 """
 
 from __future__ import annotations
@@ -209,22 +210,41 @@ def format_tree(tree: SkeinTree, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _factored(c0, c1, u, v, q: int, r: int, t: int) -> SkeinElem:
-    """c0 + c1 (u - v (-a)^{q(r-t)} HC) (u - v (-a)^{-qt} C^2), the shape of
-    both closed forms and of their difference."""
-    first = SkeinElem({(0, 0): u, (1, 1): -(neg_alpha_pow(q * (r - t)) * v)})
-    second = SkeinElem({(0, 0): u, (0, 2): -(neg_alpha_pow(-q * t) * v)})
-    return SkeinElem.scalar(c0) + SkeinElem.scalar(c1) * first * second
+def _template(c0, c1, u, v) -> dict:
+    """The four buckets of c0 + c1 (u - v X HC)(u - v Y C^2) at X = Y = 1,
+    keyed by their (H, C) degrees: the shape of both closed forms and of
+    their difference."""
+    return {(0, 0): c0 + c1 * u * u, (1, 1): -(c1 * u * v), (0, 2): -(c1 * u * v), (1, 3): c1 * v * v}
+
+
+def _shift(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """(-a)^k poly: every exponent moved by k, every sign flipped if k is odd."""
+    sign = -1 if k % 2 else 1
+    return LaurentPoly._wrap({e + k: sign * c for e, c in poly.items()})
+
+
+def _instance(template: dict, q: int, r: int, t: int) -> SkeinElem:
+    """The form at (q, r, t): with X = (-a)^{q(r-t)} and Y = (-a)^{-qt},
+    bucket (h, c) is its template times X^h Y^{(c-h)/2} = (-a)^k, with
+    k = q(hr - (h+c)t/2): 0, q(r-t), -qt and q(r-2t)."""
+    return SkeinElem._wrap(
+        {(h, c): _shift(poly, q * (h * r - (h + c) // 2 * t)) for (h, c), poly in template.items()}
+    )
+
+
+_KB = _template(-ALPHA, ONE_PLUS_ALPHA, _ALPHA_SQ, _ALPHA_SQ_MINUS_1)
+_KG = _template(_ALPHA_SQ, -_ALPHA_SQ_MINUS_1, ALPHA, ONE_PLUS_ALPHA)
+_DIFFERENCE = _template(LaurentPoly.zero(), _DIFFERENCE_UNIT, LaurentPoly.one(), LaurentPoly.one())
 
 
 def closed_form_kb(q: int, r: int, t: int) -> SkeinElem:
     """-a + (a+1) (a^2 - (a^2-1)(-a)^{q(r-t)} HC) (a^2 - (a^2-1)(-a)^{-qt} C^2)."""
-    return _factored(-ALPHA, ONE_PLUS_ALPHA, _ALPHA_SQ, _ALPHA_SQ_MINUS_1, q, r, t)
+    return _instance(_KB, q, r, t)
 
 
 def closed_form_kg(q: int, r: int, t: int) -> SkeinElem:
     """a^2 - (a^2-1) (a - (a+1)(-a)^{q(r-t)} HC) (a - (a+1)(-a)^{-qt} C^2)."""
-    return _factored(_ALPHA_SQ, -_ALPHA_SQ_MINUS_1, ALPHA, ONE_PLUS_ALPHA, q, r, t)
+    return _instance(_KG, q, r, t)
 
 
 def difference(q: int, r: int, t: int) -> SkeinElem:
@@ -232,13 +252,14 @@ def difference(q: int, r: int, t: int) -> SkeinElem:
     U (1 - X HC)(1 - Y C^2), with U = a(1+a)^2(a^2-1), X = (-a)^{q(r-t)}
     and Y = (-a)^{-qt}.
 
-    All three forms are ``_factored``: bucket (h, c) of each is a constant
-    times X^h Y^{(c-h)/2}, for (h, c) in (0,0), (1,1), (0,2), (1,3). Both
-    sides of kb - kg = difference have the constants U, -U, -U, U, so it
-    holds for every (q, r, t). At a = -1, a + 1 = a^2 - 1 = 0 and X = Y = 1,
-    so kb = -a = 1 and kg = a^2 = 1. With C a non-unit gamma, the difference
-    vanishes only if gamma^2 = (-a)^{qt}, which would make gamma a unit."""
-    return _factored(0, _DIFFERENCE_UNIT, 1, 1, q, r, t)
+    All three forms shift a ``_template`` of four buckets: bucket (h, c) of
+    each is a constant times X^h Y^{(c-h)/2}, for (h, c) in (0,0), (1,1),
+    (0,2), (1,3). Both sides of kb - kg = difference have the constants U,
+    -U, -U, U, so it holds for every (q, r, t). At a = -1,
+    a + 1 = a^2 - 1 = 0 and X = Y = 1, so kb = -a = 1 and kg = a^2 = 1.
+    With C a non-unit gamma, the difference vanishes only if
+    gamma^2 = (-a)^{qt}, which would make gamma a unit."""
+    return _instance(_DIFFERENCE, q, r, t)
 
 
 # the same functions under the names the acceptance suite imports

@@ -189,11 +189,20 @@ class TestCertifySlope:
         for row in obj["kb"]:
             assert len(row) == 3
 
+    @pytest.mark.parametrize("slope", [(2, 1), (5, 2), (101, 2)])
+    def test_to_json_writes_to_obj(self, slope):
+        # to_json writes the polynomials straight from the ring values;
+        # to_obj converts them to the lists it writes
+        cert = certify_slope(*slope)
+        assert cert.to_json() == json.dumps(cert.to_obj(), sort_keys=True, indent=2) + "\n"
+        assert cert.to_json() == _json_text(cert.to_obj())
+
 
 class TestRingWorkIsPinned:
     """Both skein trees of a slope are one DAG with one value per distinct
     pattern, so a certificate takes a fixed number of SkeinElem products:
-    17, where evaluating each tree on its own, node by node, takes 35."""
+    15, where evaluating each tree on its own, node by node, takes 33.
+    ``difference`` shifts a fixed template and multiplies nothing."""
 
     def test_skein_products_of_one_certificate(self, monkeypatch):
         products = []
@@ -206,7 +215,7 @@ class TestRingWorkIsPinned:
         monkeypatch.setattr(SkeinElem, "__mul__", counted)
         monkeypatch.setattr(SkeinElem, "__rmul__", counted)
         certify_slope(3, 2)
-        assert len(products) == 17
+        assert len(products) == 15
 
 
 json_values = st.recursive(
@@ -215,6 +224,34 @@ json_values = st.recursive(
     | st.dictionaries(st.text() | st.just("mirror_of"), children, max_size=5),
     max_leaves=40,
 )
+
+
+big_ints = st.integers(-(10**30), 10**30)
+laurent_values = st.dictionaries(big_ints, big_ints | st.integers(-2, 2), max_size=6).map(LaurentPoly)
+skein_values = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 10**30)), laurent_values, max_size=4
+).map(SkeinElem)
+pair_entries = st.lists(big_ints | st.booleans() | st.none() | st.text(max_size=2), min_size=1, max_size=3)
+pair_lists = st.lists(st.lists(big_ints, min_size=2, max_size=2) | pair_entries, max_size=5)
+polynomial_values = st.recursive(
+    laurent_values | skein_values | pair_lists | big_ints | st.booleans(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_form(v):
+    """``v`` with each polynomial replaced by its to_pairs() or to_rows() list."""
+    if isinstance(v, LaurentPoly):
+        return v.to_pairs()
+    if isinstance(v, SkeinElem):
+        return v.to_rows()
+    if type(v) is list:
+        return [json_form(x) for x in v]
+    if type(v) is dict:
+        return {k: json_form(x) for k, x in v.items()}
+    return v
 
 
 class TestJsonText:
@@ -226,6 +263,19 @@ class TestJsonText:
     @example({"\u00e9\x00\n\"\\\u2028": [-(2**70), 2**70]})
     def test_equals_json_dumps(self, v):
         assert _json_text(v) == json.dumps(v, sort_keys=True, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(polynomial_values)
+    @example([LaurentPoly.zero(), SkeinElem.zero(), []])
+    @example({"gamma_cr": LaurentPoly({-(10**30): 10**30, 0: -1}), "kb": SkeinElem({(0, 2): LaurentPoly({1: -1})})})
+    @example([[1, True], [2, 3]])
+    @example([[True, 1]])
+    @example([[1, 2], [3, "x"]])
+    @example([[1, 2], [3, None], [4]])
+    def test_polynomials_and_pair_lists_equal_json_dumps(self, v):
+        # polynomials and lists of two-int lists are written flat, with the
+        # text json.dumps writes for their to_pairs()/to_rows() lists
+        assert _json_text(v) == json.dumps(json_form(v), sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("v", [1.5, (1, 2), {1: 2}, [b"x"]])
     def test_a_type_no_certificate_holds_raises(self, v):
@@ -419,9 +469,13 @@ class TestBatch:
     @needs_digit_limit
     def test_an_int_too_long_to_write_is_recorded(self):
         big = 10**5000
-        pair, single, good = batch([(big, 7), (big,), (2, 1)]).entries
+        pair, den, both, single, good = batch([(big, 7), (7, -big), (-big, 10**4300), (big,), (2, 1)]).entries
         assert (pair.slope, pair.ok) == ("<int of 16610 bits>/7", False)
-        assert "4300 digits" in pair.error
+        # named as parse_slope names a part past the limit of 4300 digits
+        limit = "more than Python's int() limit of 4300"
+        assert pair.error == f"invalid slope <int of 16610 bits>/7: its numerator has 5001 digits, {limit}"
+        assert den.error == f"invalid slope 7/<int of 16610 bits>: its denominator has 5001 digits, {limit}"
+        assert both.error.endswith(f": its numerator has 5001 digits, {limit}")
         assert (single.slope, single.ok) == ("(<int of 16610 bits>,)", False)
         assert single.error == "tuple (<int of 16610 bits>,) is not a slope: give 'P/Q', 'P' or a pair of ints"
         assert good.ok

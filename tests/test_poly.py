@@ -139,6 +139,36 @@ class TestSerialization:
             read(value)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "read, value, message",
+        [
+            (LaurentPoly.from_pairs, [[0, 1], [0, 1]], "[0, 1]: exponents must strictly ascend"),
+            (LaurentPoly.from_pairs, [[1, 0]], "[1, 0]: a coefficient is never 0"),
+            (LaurentPoly.from_pairs, [[2, 1], [1, 3]], "[1, 3]: exponents must strictly ascend"),
+            (LaurentPoly.from_pairs, [[0, 1], [2, 0], [1, 1]], "[2, 0]: a coefficient is never 0"),
+            (
+                SkeinElem.from_rows,
+                [[0, 0, [[0, 1]]], [0, 0, [[0, 2]]]],
+                "[0, 0, [[0, 2]]]: (h, c) degrees must strictly ascend",
+            ),
+            (
+                SkeinElem.from_rows,
+                [[1, 0, [[0, 1]]], [0, 2, [[0, 2]]]],
+                "[0, 2, [[0, 2]]]: (h, c) degrees must strictly ascend",
+            ),
+            (SkeinElem.from_rows, [[0, 1, []]], "[0, 1, []]: a row is never empty"),
+            (SkeinElem.from_rows, [[0, -1, [[0, 1]]]], "[0, -1, [[0, 1]]]: H and C degrees must be nonnegative"),
+            (SkeinElem.from_rows, [[0, 0, [[0, 1], [0, 1]]]], "[0, 1]: exponents must strictly ascend"),
+        ],
+    )
+    def test_text_the_writers_never_emit_is_rejected(self, read, value, message):
+        # a repeated exponent was summed, a zero coefficient dropped, unsorted
+        # pairs sorted and a repeated row overwritten, so a changed
+        # certificate could read as a different valid one
+        with pytest.raises(ValueError) as info:
+            read(value)
+        assert str(info.value) == message
+
 
 class TestBiLaurent:
     def test_arithmetic(self):

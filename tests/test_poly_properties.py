@@ -142,6 +142,65 @@ def test_skein_rows_round_trip(x):
     assert SkeinElem.from_rows(x.to_rows()) == x
 
 
+# lists that look like the writers' output and often are not: small
+# exponents repeat, coefficients can be 0, degrees can be negative
+small = st.integers(-2, 2)
+pair_lists = st.lists(st.lists(small, min_size=2, max_size=2), max_size=4)
+any_pairs = st.one_of(laurent.map(LaurentPoly.to_pairs), pair_lists)
+row_lists = st.one_of(
+    skein.map(SkeinElem.to_rows),
+    st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2), any_pairs).map(list), max_size=3),
+)
+
+
+def first_unwritten_pair(pairs):
+    """The first pair that ``to_pairs`` would not write after the ones
+    before it, or None."""
+    for i, (e, c) in enumerate(pairs):
+        if not c or (i and e <= pairs[i - 1][0]):
+            return [e, c]
+    return None
+
+
+def rows_are_written(rows):
+    """Whether ``to_rows`` of some value is ``rows``."""
+    keys = [(h, c) for h, c, _ in rows]
+    return (
+        all(h >= 0 and c >= 0 for h, c in keys)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+        and all(pairs and first_unwritten_pair(pairs) is None for _, _, pairs in rows)
+    )
+
+
+@PROFILE
+@given(any_pairs)
+@example([[0, 1], [0, 1]])
+@example([[1, 0]])
+@example([[1, 1], [0, 1]])
+def test_from_pairs_reads_exactly_what_to_pairs_writes(pairs):
+    bad = first_unwritten_pair(pairs)
+    if bad is None:
+        assert LaurentPoly.from_pairs(pairs).to_pairs() == pairs
+    else:
+        with pytest.raises(ValueError) as info:
+            LaurentPoly.from_pairs(pairs)
+        assert str(info.value).startswith(f"{bad!r}: ")
+
+
+@PROFILE
+@given(row_lists)
+@example([[0, 0, [[0, 1]]], [0, 0, [[0, 2]]]])
+@example([[0, 1, [[0, 1]]], [0, 0, [[0, 1]]]])
+@example([[0, 0, []]])
+@example([[-1, 0, [[0, 1]]]])
+def test_from_rows_reads_exactly_what_to_rows_writes(rows):
+    if rows_are_written(rows):
+        assert SkeinElem.from_rows(rows).to_rows() == rows
+    else:
+        with pytest.raises(ValueError):
+            SkeinElem.from_rows(rows)
+
+
 nonzero_rationals = st.one_of(
     st.sampled_from([-1, 1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
     st.integers(-7, 7).filter(bool),

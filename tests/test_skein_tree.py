@@ -294,6 +294,25 @@ class TestEvaluation:
         assert eval_tree(tree).evaluate_alpha(-1) == {(0, 0): 1}
 
 
+def product_form(c0, c1, u, v, q, r, t):
+    """c0 + c1 (u - v X HC)(u - v Y C^2) with X = (-a)^{q(r-t)} and
+    Y = (-a)^{-qt}, by ring products: the shape both closed forms and their
+    difference are written in."""
+    x, y = neg_alpha_pow(q * (r - t)), neg_alpha_pow(-q * t)
+    first = SkeinElem.scalar(u) - SkeinElem.scalar(v * x) * H * C
+    second = SkeinElem.scalar(u) - SkeinElem.scalar(v * y) * C * C
+    return SkeinElem.scalar(c0) + SkeinElem.scalar(c1) * first * second
+
+
+# (c0, c1, u, v) of each form, from the docstrings' products; the difference
+# is U (1 - X HC)(1 - Y C^2) with U = a(1+a)^2(a^2-1) = -a - 2a^2 + 2a^4 + a^5
+PRODUCT_FACTORS = {
+    closed_form_kb: (-ALPHA, LaurentPoly({0: 1, 1: 1}), LaurentPoly({2: 1}), LaurentPoly({0: -1, 2: 1})),
+    closed_form_kg: (LaurentPoly({2: 1}), LaurentPoly({0: 1, 2: -1}), ALPHA, LaurentPoly({0: 1, 1: 1})),
+    difference: (0, LaurentPoly({1: -1, 2: -2, 4: 2, 5: 1}), 1, 1),
+}
+
+
 class TestClosedForms:
     def test_tree_equals_closed_form_for_production_params(self):
         assert eval_tree(expand(kb_root(Q, T), Q, R)) == closed_form_kb(Q, R, T)
@@ -339,18 +358,17 @@ class TestClosedForms:
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     @example(Q, R, T)
     @example(0, 0, 0)
+    @example(-3, 5, -7)
     def test_identities_hold_for_every_tuple(self, q, r, t):
-        # each form is its q = 0 constants shifted bucket by bucket, the same
-        # shift in all three, so the q = 0 identities hold for every (q, r, t)
-        kb0, kg0, diff0 = (form(0, r, t) for form in (closed_form_kb, closed_form_kg, difference))
-        for form, at_zero in ((closed_form_kb, kb0), (closed_form_kg, kg0), (difference, diff0)):
-            buckets = dict(form(q, r, t).items())
-            assert buckets.keys() == {(0, 0), (1, 1), (0, 2), (1, 3)}
-            constants = dict(at_zero.items())
-            for (h, c), poly in buckets.items():
-                assert poly == constants[h, c] * neg_alpha_pow(h * q * r - (h + c) // 2 * q * t)
-        assert kb0 - kg0 == diff0
-        assert kb0.evaluate_alpha(-1) == kg0.evaluate_alpha(-1) == {(0, 0): 1}
+        # each form equals its product, multiplied out in the ring: the
+        # reference shares no code with the templates the forms shift
+        forms = {}
+        for form, factors in PRODUCT_FACTORS.items():
+            forms[form] = form(q, r, t)
+            assert forms[form] == product_form(*factors, q, r, t)
+            assert dict(forms[form].items()).keys() == {(0, 0), (1, 1), (0, 2), (1, 3)}
+        assert forms[closed_form_kb] - forms[closed_form_kg] == forms[difference]
+        assert forms[closed_form_kb].evaluate_alpha(-1) == forms[closed_form_kg].evaluate_alpha(-1) == {(0, 0): 1}
 
     def test_normalization_at_minus_one(self):
         assert closed_form_kb(Q, R, T).evaluate_alpha(-1) == {(0, 0): 1}
