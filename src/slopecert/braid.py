@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .quote import clip, quote
+from .quote import clip, count_text, past_int_limit, quote
 
 if TYPE_CHECKING:
     from .surgery import SlopeParams
@@ -85,25 +85,23 @@ class BraidWord:
     def parse(cls, text: str) -> "BraidWord":
         """Parse the 'n: i1 i2 ...' text form (empty word: 'n:'). Each
         number is ASCII digits with an optional leading '-', and no more
-        digits than Python's int() limit; an error names the first token
-        that is not, and its place, quoting a long text by its start
-        (``quote.clip``)."""
+        digits than Python's int() limit (``quote.past_int_limit``); an
+        error names the first token that is not, and its place, quoting a
+        long text by its start (``quote.clip``)."""
         head, sep, tail = text.partition(":")
         if not sep:
             raise ValueError(f"missing ':' in braid word {clip(text, repr)}")
         tokens = [head.strip()] + tail.split()
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         for i, tok in enumerate(tokens):
             digits = tok.removeprefix("-")
             if not (tok.isascii() and digits.isdigit()):
                 shown = clip(tok, repr)
                 where = f"letter {shown} at place {i}" if i else f"strand count {shown}"
                 raise ValueError(f"braid word {where} is not an integer")
-            if 0 < limit < len(digits):
+            too_long = past_int_limit(len(digits))
+            if too_long:
                 where = f"letter at place {i}" if i else "strand count"
-                raise ValueError(
-                    f"braid word {where} has {len(digits)} digits, more than Python's int() limit of {limit}"
-                )
+                raise ValueError(f"braid word {where} {too_long}")
         return cls(int(tokens[0]), tuple(map(int, tokens[1:])))
 
 
@@ -211,15 +209,6 @@ def _bundle_swap(base_index: int, q: int) -> tuple:
     return tuple(out)
 
 
-def _count_text(n: int) -> str:
-    """``str(n)``, or a lower bound when n has more digits than int-to-text
-    conversion allows (``sys.get_int_max_str_digits()``)."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2**{n.bit_length() - 1}"
-
-
 def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     """Blackboard q-cabling of the (r, s) torus braid plus ``twists`` copies
     of the q-strand root-twist block (sigma_1 ... sigma_{q-1}).
@@ -245,7 +234,7 @@ def cable_word(q: int, r: int, s: int, twists: int) -> BraidWord:
     # and the joined word are alive together, so the build holds two slots
     slots = 2 if q > 1 and twists else 1
     if length * slots * 8 > _MEMORY_BYTES:
-        raise ValueError(f"cable word of {_count_text(length)} letters is too long to build")
+        raise ValueError(f"cable word of {count_text(length)} letters is too long to build")
     try:
         period = tuple(chain.from_iterable(_bundle_swap(g, q) for g in range(1, s)))
         return BraidWord.from_runs(q * s, ((period, r), (tuple(range(1, q)), twists)))

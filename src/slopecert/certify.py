@@ -35,7 +35,6 @@ read from the stored fields.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, List, Optional, Tuple, Union
@@ -45,7 +44,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .braid import BraidWord, bennequin_euler_char, cable_braid, closure_components
 from .homfly import DEFAULT_ORACLE_BUDGET, gamma_positive, homfly_oracle, zeroth_gamma
 from .poly import LaurentPoly, SkeinElem
-from .quote import clip, quote, safe_repr
+from .quote import clip, digits, past_int_limit, quote, safe_repr
 from .skein_tree import (
     closed_form_kb,
     closed_form_kg,
@@ -267,27 +266,15 @@ def certify_slope(
 _INTEGER = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # an int() literal; group 1 is its digit groups
 
 
-def _past_int_limit(denominator: int, numerator: int) -> Optional[str]:
+def _past_int_limit(numerator: int, denominator: int) -> Optional[str]:
     """Why a slope with parts of these digit counts cannot be converted
     between int and text, naming the numerator if both are past Python's
     int() limit; None if neither is."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    reason = None
-    for name, n in (("denominator", denominator), ("numerator", numerator)):
-        if 0 < limit < n:
-            reason = f"its {name} has {n} digits, more than Python's int() limit of {limit}"
-    return reason
-
-
-def _digits(n: int) -> int:
-    """The number of decimal digits of |n|, counted without writing n as
-    text: from a lower bound by its bit length (log10(2) > 0.30102), up
-    by comparing with powers of ten."""
-    n = abs(n)
-    d = max(1, n.bit_length() * 30102 // 100000)
-    while n >= 10**d:
-        d += 1
-    return d
+    for name, count in (("numerator", numerator), ("denominator", denominator)):
+        reason = past_int_limit(count)
+        if reason:
+            return f"its {name} {reason}"
+    return None
 
 
 def parse_slope(text: str) -> Tuple[int, int]:
@@ -301,7 +288,7 @@ def parse_slope(text: str) -> Tuple[int, int]:
         p, q = int(num), int(den) if slash else 1
     except ValueError:
         counts = []
-        for part in (den, num):
+        for part in (num, den):
             match = _INTEGER.fullmatch(part)
             counts.append(len(match[1].replace("_", "")) if match else 0)
         reason = _past_int_limit(*counts) or "a slope is P/Q or an integer P"
@@ -370,7 +357,7 @@ def batch(
             report.entries.append(BatchEntry(slope=text, error=error))
             continue
         label = clip("{}/{}".format(*map(safe_repr, item)) if pair else item.strip())
-        too_long = pair and _past_int_limit(_digits(item[1]), _digits(item[0]))
+        too_long = pair and _past_int_limit(digits(item[0]), digits(item[1]))
         if too_long:
             report.entries.append(BatchEntry(slope=label, error=f"invalid slope {label}: {too_long}"))
             continue

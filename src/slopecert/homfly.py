@@ -11,37 +11,45 @@ delta = (v^-1 - v)/z. The cost is exponential, so calls are budgeted.
 the closure into its components' words, by strand deletion
 (``braid.component_words``), and joins their values by the
 Lickorish-Millett formula (Topology 26, 1987; ``gamma_linking_formula``).
-Its memo holds knots only: for a knot of e letters on n strands, the
-normalised polynomial N = gamma / (-a)^h, where gamma is the zeroth
-coefficient polynomial and h = (e - n + 1)/2 is the genus. Three rules give
-N, each by adding or multiplying:
+It holds each component's word as ``bytes``, one letter a byte, so a memo
+key is (n, bytes) and rotations are compared by memcmp; a letter is at
+most 255, so it takes words on at most 256 strands (``MAX_STRANDS``) and
+raises ValueError naming that limit past it. Its memo holds knots only:
+for a knot of e letters on n strands, the normalised polynomial
+N = gamma / (-a)^h, where gamma is the zeroth coefficient polynomial and
+h = (e - n + 1)/2 is the genus. Three rules give N, each by adding or
+multiplying:
 1. a knot on one strand gives 1;
 2. a knot with a generator g used once is a connected sum: without that
    letter it closes to the split link of the two summands, whose words
-   ``component_words`` gives, and N is the product of the summands' N;
+   ``_split_link`` gives, and N is the product of the summands' N;
 3. any other knot is conjugated to a word g g R, and
    N = N(R) + (a+1) N(K1) N(K2), where K1 and K2 are the two components of
    the link g R: the skein step, with the Lickorish-Millett formula for
    g R and its linking number absorbed into h.
-So only knots are squared or stored. For rule 3, in a rotation of the
-word, the prefix before the first letter g whose two strands have already
-crossed is a permutation braid with right descent g, so it equals Q g for
-a reduced word Q read off its permutation (Garside; El-Rifai and Morton).
-The rotation taken is the first whose first recrossing is at the least
-generator g; one window sliding over the doubled word finds it, because a
-suffix of a permutation braid is one, so the window's end only moves
-right. That choice sets which sub-words a cold walk meets: 8/3's cable
-fills the memo with 107 entries, against 232 when the first rotation with
-any recrossing is taken. When every rotation is a permutation braid, a
-walk over descent conjugates reaches a word with a rotation that is not
-(Geck and Pfeiffer), so the square search always ends and the engine never
-calls the oracle. The skein triple at the square g g R is of positive
-braid words: R is a knot, g R a two-component link, and both have fewer
-letters; so do K1 and K2, on fewer strands. Each engine's rules are a
-generator, ``_oracle_node`` or ``_gamma_node``, that yields each sub-word
-it needs; one loop, ``_run``, runs both engines from a list of suspended
-nodes and alone reads and writes the memos, so Python's stack does not
-bound the depth.
+Both cuts leave a two-component link of a positive word, and no rule reads
+a linking number, so one positive walk, ``_split_link``, gives the two
+words in place of the signed ``component_words``. So only knots are
+squared or stored. For rule 3, in a rotation of the word, the prefix P
+before the first letter g whose two strands have already crossed is a
+permutation braid with right descent g, so P = Q g for a reduced word Q
+read off its permutation (Garside; El-Rifai and Morton). The rotation
+taken is the first whose first recrossing is at the least generator g; one
+window sliding over the doubled word finds it, because a suffix of a
+permutation braid is one, so the window's end only moves right. The window
+keeps the permutation of P at the best rotation, so the square is written
+from it without walking P again. That choice sets which sub-words a cold
+walk meets: 8/3's cable fills the memo with 107 entries, against 232 when
+the first rotation with any recrossing is taken. When every rotation is a
+permutation braid, a walk over descent conjugates reaches a word with a
+rotation that is not (Geck and Pfeiffer), so the square search always ends
+and the engine never calls the oracle. The skein triple at the square
+g g R is of positive braid words: R is a knot, g R a two-component link,
+and both have fewer letters; so do K1 and K2, on fewer strands. Each
+engine's rules are a generator, ``_oracle_node`` or ``_gamma_node``, that
+yields each sub-word it needs; one loop, ``_run``, runs both engines from a
+list of suspended nodes and alone reads and writes the memos, so Python's
+stack does not bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -57,8 +65,10 @@ from typing import Optional
 
 from .braid import BraidWord, closure_components, closure_labels, component_words
 from .poly import BiLaurent, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, neg_alpha_pow
+from .quote import quote
 
 DEFAULT_ORACLE_BUDGET = 14
+MAX_STRANDS = 256  # the fast engine holds a word as bytes, one letter in 1..255 a byte
 _HEADROOM = 8 << 20  # bytes of address space ``_run`` keeps free
 
 # delta = (v^-1 - v) / z, the unknot-disjoint-union multiplier
@@ -103,10 +113,11 @@ def _probe_headroom() -> None:
         raise MemoryError(f"less than {_HEADROOM} bytes of address space left") from None
 
 
-def _run(rules, memo: dict, n: int, letters: tuple):
+def _run(rules, memo: dict, n: int, letters):
     """Run the steps of the generator ``rules`` for the word (n, letters):
     only a memo miss starts a node, and a finished node's value is stored
-    under the key (n, least rotation) and sent to its parent.
+    under the key (n, least rotation) and sent to its parent. The oracle's
+    words are tuples of signed letters, the fast engine's ``bytes``.
 
     Every 256 entries it probes for headroom (``_probe_headroom``), so that
     running out of memory raises MemoryError here, where it is caught; it
@@ -157,10 +168,10 @@ def _free_cyclic_reduce(letters: tuple) -> tuple:
     return tuple(word)
 
 
-def _min_rotation(letters: tuple) -> tuple:
-    """The least rotation of ``letters``: only a rotation that starts at a
-    least letter can be it, so only those are compared, as slices of the
-    doubled word."""
+def _min_rotation(letters):
+    """The least rotation of ``letters``, a tuple or ``bytes``: only a
+    rotation that starts at a least letter can be it, so only those are
+    compared, as slices of the doubled word (for ``bytes``, by memcmp)."""
     least = min(letters, default=None)
     if least is None or least == max(letters):
         return letters
@@ -289,7 +300,7 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _sorting_word(pos: list) -> tuple:
+def _sorting_word(pos: list) -> bytes:
     """A reduced word that carries the identity arrangement of strands to
     ``pos``: the swaps of a bubble sort of ``pos``, read backwards."""
     arr = list(pos)
@@ -299,13 +310,13 @@ def _sorting_word(pos: list) -> tuple:
             if arr[j] > arr[j + 1]:
                 arr[j], arr[j + 1] = arr[j + 1], arr[j]
                 swaps.append(j + 1)
-    return tuple(reversed(swaps))
+    return bytes(reversed(swaps))
 
 
-def _square_at_recrossing(n: int, word: tuple) -> Optional[tuple]:
+def _square_at_recrossing(n: int, word: bytes) -> Optional[bytes]:
     """Conjugate ``word`` = P g rest, where g is the first letter on two
-    strands that P already crossed, to (g, g) + rest + Q; None if ``word``
-    is a permutation braid.
+    strands that P already crossed, to g g rest Q; None if ``word`` is a
+    permutation braid. Only the descent walk of ``_find_square`` calls it.
 
     P is a permutation braid with right descent g, so P = Q g for the
     reduced word Q of its permutation times s_g (reduced words of one
@@ -315,26 +326,27 @@ def _square_at_recrossing(n: int, word: tuple) -> Optional[tuple]:
         crossed = pos[g - 1] > pos[g]
         pos[g - 1], pos[g] = pos[g], pos[g - 1]
         if crossed:
-            return (g, g) + word[k + 1 :] + _sorting_word(pos)
+            return bytes((g, g)) + word[k + 1 :] + _sorting_word(pos)
     return None
 
 
-def _descent_conjugates(n: int, word: tuple, left: bool):
+def _descent_conjugates(n: int, word: bytes, left: bool):
     """g Q for each right descent g of the permutation braid ``word`` = Q g;
     with ``left``, Q' g for each left descent g of ``word`` = g Q', by the
     same move on the reversed word, reversed back."""
     w = word[::-1] if left else word
     for g in range(1, n):
-        descent = _square_at_recrossing(n, w + (g,))
+        descent = _square_at_recrossing(n, w + bytes((g,)))
         if descent is not None:
-            conjugate = (g,) + descent[2:]
+            conjugate = bytes((g,)) + descent[2:]
             yield conjugate[::-1] if left else conjugate
 
 
-def _least_recrossing_rotation(n: int, word: tuple) -> Optional[int]:
-    """The first i whose rotation word[i:] + word[:i] has its first
-    recrossing at the least generator, or None if every rotation is a
-    permutation braid.
+def _least_recrossing_rotation(n: int, word: bytes) -> Optional[bytes]:
+    """The square g g rest Q of the first rotation word[i:] + word[:i]
+    whose first recrossing is at the least generator g, where that rotation
+    is P g rest and P = Q g (as in ``_square_at_recrossing``); None if every
+    rotation is a permutation braid.
 
     One pass over the doubled word: the window doubled[i:e] is the longest
     prefix of rotation i that is a permutation braid, held as pos[k], the
@@ -343,7 +355,9 @@ def _least_recrossing_rotation(n: int, word: tuple) -> Optional[int]:
     positions g-1 and g, which swaps two labels; what is left is a suffix
     of a permutation braid and so one itself, so e only moves right and
     the pass costs O(L). It stops at generator 1, which no rotation can
-    beat."""
+    beat. At each better rotation it keeps e and a copy of pos, the
+    permutation of P, so Q is read off that copy at the end and P is never
+    walked again."""
     L = len(word)
     doubled = word + word
     pos, at = list(range(n)), list(range(n))
@@ -355,7 +369,7 @@ def _least_recrossing_rotation(n: int, word: tuple) -> Optional[int]:
             left, right = pos[g - 1], pos[g]
             if left > right:  # the two strands at g-1 and g have crossed
                 if g < best_g:
-                    best, best_g = i, g
+                    best, best_g = (i, e, pos[:]), g
                 break
             pos[g - 1], pos[g] = right, left
             at[left], at[right] = g, g - 1
@@ -366,15 +380,21 @@ def _least_recrossing_rotation(n: int, word: tuple) -> Optional[int]:
         left, right = at[g - 1], at[g]
         pos[left], pos[right] = g, g - 1
         at[g - 1], at[g] = right, left
-    return best
+    if best is None:
+        return None
+    i, e, pos = best
+    g = best_g
+    pos[g - 1], pos[g] = pos[g], pos[g - 1]
+    return bytes((g, g)) + doubled[e + 1 : i + L] + _sorting_word(pos)
 
 
-def _find_square(letters: tuple, n: int) -> tuple:
+def _find_square(letters: bytes, n: int) -> bytes:
     """A positive word of the same length and closure as ``letters`` that
-    starts with a square (g, g): the first rotation whose first recrossing
-    is at the least generator (``_least_recrossing_rotation``), of
-    ``letters`` and then of each word a breadth-first walk over descent
-    conjugates reaches. Raises ValueError if the walk ends without one.
+    starts with a square (g, g): the square of the first rotation whose
+    first recrossing is at the least generator
+    (``_least_recrossing_rotation``), of ``letters`` and then of each word
+    a breadth-first walk over descent conjugates reaches. Raises ValueError
+    if the walk ends without one. Words are ``bytes``, one letter a byte.
 
     Any rotation with a recrossing gives a square; which one is taken sets
     the sub-words the skein steps yield. The least generator was chosen by
@@ -400,9 +420,9 @@ def _find_square(letters: tuple, n: int) -> tuple:
       of w' s: a word with a recrossing, against the supposition."""
     walk, seen = [letters], {letters}
     for word in walk:  # breadth first: the walk grows while it is read
-        i = _least_recrossing_rotation(n, word)
-        if i is not None:
-            return _square_at_recrossing(n, word[i:] + word[:i])
+        found = _least_recrossing_rotation(n, word)
+        if found is not None:
+            return found
         for left in (False, True):
             for conjugate in _descent_conjugates(n, word, left):
                 if conjugate not in seen:
@@ -411,11 +431,40 @@ def _find_square(letters: tuple, n: int) -> tuple:
     raise ValueError(f"no square for {BraidWord(n, letters)}: a generator occurs less than twice")
 
 
-def _gamma_node(n: int, letters: tuple):
+def _split_link(n: int, letters: bytes) -> tuple:
+    """The words ((n1, word1), (n2, word2)) of the two components of the
+    closure of the positive word ``letters``, the first through position 0:
+    what ``component_words`` gives for a two-component link, by the same
+    strand deletion, with no signs and no linking number to count.
+
+    It follows positions, not strands: side[k] is the component of the
+    strand at position k and rank[k] its rank among that component's
+    strands, counted from 1 on the left. Two strands of one component at
+    g-1 and g have ranks r and r+1, and as they cross each takes the
+    other's place and rank, so a crossing within a component changes
+    neither list and is kept as generator r; one between components swaps
+    both lists' entries at g-1 and g."""
+    side = closure_labels(n, letters)
+    rank, sizes = [], [0, 0]
+    for k in side:
+        sizes[k] += 1
+        rank.append(sizes[k])
+    kept = (bytearray(), bytearray())
+    for g in letters:
+        k = side[g - 1]
+        if k == side[g]:
+            kept[k].append(rank[g - 1])
+        else:
+            side[g - 1], side[g] = side[g], k
+            rank[g - 1], rank[g] = rank[g], rank[g - 1]
+    return (sizes[0], bytes(kept[0])), (sizes[1], bytes(kept[1]))
+
+
+def _gamma_node(n: int, letters: bytes):
     """The rules for one knot: yield each sub-knot (n, letters) needed, be
     sent its N, and return this knot's N = gamma / (-a)^h, h its genus.
     Rules 2 and 3 each delete one letter, which leaves a two-component
-    link, and take its components' words from ``component_words``."""
+    link, and take its components' words from ``_split_link``."""
     if n == 1:
         return LaurentPoly.one()
 
@@ -424,16 +473,16 @@ def _gamma_node(n: int, letters: tuple):
         # a knot uses every generator; without the least one used once it
         # closes to the split link of the two summands
         i = letters.index(counts.index(1) + 1)
-        (first, second), _ = component_words(n, letters[:i] + letters[i + 1 :])
+        first, second = _split_link(n, letters[:i] + letters[i + 1 :])
         left = yield first
         right = yield second
         return left * right
 
-    # found = (g, g) + rest; skein triple of positive words. rest has the
-    # knot's permutation, and the smoothing (g,) + rest two components.
+    # found = g g rest; skein triple of positive words. rest has the knot's
+    # permutation, and the smoothing g rest two components.
     found = _find_square(letters, n)
     r = yield n, found[2:]
-    (first, second), _ = component_words(n, found[1:])
+    first, second = _split_link(n, found[1:])
     k1 = yield first
     k2 = yield second
     return r + ONE_PLUS_ALPHA * k1 * k2
@@ -451,7 +500,14 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     components, which are knots (see the module docstring). The loop
     ``_run``, which runs both engines, takes words of any length; only the
     caller's crossing budget bounds the work, which grows fast with the
-    strand count. Out of memory, this raises ValueError.
+    strand count. On more than ``MAX_STRANDS`` (256) strands, or out of
+    memory, this raises ValueError. Measured through the ``certify`` CLI
+    (median of 3 runs, Intel Xeon 2 vCPU, Python 3.11.7), with words held
+    as ``bytes``: 1000/3 at budget 2000 (1,996 letters on 3 strands) takes
+    0.40 s and a VmPeak of 30 MB, 7/5 at budget 300 (268 letters on 15
+    strands) 5.5 s and 99 MB, and 4/5 at budget 300 (269 letters on 20
+    strands) 3.9 s and 81 MB; as tuples they took 3.1 s and 51 MB, 8.2 s
+    and 130 MB, and 5.6 s and 106 MB.
 
     Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
     Proof. For a knot, c = s = 1 and h = (e - n + 1)/2 is the genus. First,
@@ -460,7 +516,7 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     - one strand: e = 0, so h = 0 and N = gamma = 1;
     - a connected sum at g, which the knot uses once: the word without
       that letter is a braid on strands 1..g beside one on g+1..n, whose
-      closures are the summands, so ``component_words`` gives their words.
+      closures are the summands, so ``_split_link`` gives their words.
       e = e1 + e2 + 1, n = n1 + n2 and both summands are knots, so
       h = h1 + h2, and as gamma = gamma1 gamma2, N = N1 N2;
     - the square: the conjugate g g R has the closure, e and n of the knot.
@@ -491,12 +547,16 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     """
     if not w.is_positive:
         raise ValueError("gamma_positive needs a positive braid word")
+    if w.strands > MAX_STRANDS:
+        raise ValueError(
+            f"gamma_positive: a word on {quote(w.strands)} strands is past the engine's limit of {MAX_STRANDS} strands"
+        )
     words, _ = component_words(w.strands, w.letters)
     c, s = len(words), w.strands - len(set(w.letters))
     normalized = ONE_PLUS_ALPHA ** (c - s)
     try:
-        for word in words:
-            normalized = normalized * _run(_gamma_node, _gamma_memo, *word)
+        for k, word in words:
+            normalized = normalized * _run(_gamma_node, _gamma_memo, k, bytes(word))
     except MemoryError:
         raise ValueError(
             f"gamma_positive: out of memory on a word of {len(w.letters)} letters on {w.strands} strands"

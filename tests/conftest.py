@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import slopecert.braid
-from slopecert.braid import BraidWord
+from slopecert.braid import BraidWord, closure_labels
 from slopecert.surgery import SlopeParams, choose_params
 
 
@@ -70,6 +70,18 @@ def slope_params(draw, max_p=9, max_q=4, solutions=3):
 def exponent_sum(letters) -> int:
     """The sign sum of a braid word's letters."""
     return sum(1 if x > 0 else -1 for x in letters)
+
+
+def knot_word(n, letters) -> bytes:
+    """The positive word ``letters`` on n strands as ``bytes``, followed by
+    each generator g, in turn, whose strands g-1 and g lie on two closure
+    components: each such letter joins them, so the closure is a knot."""
+    word = bytes(letters)
+    for g in range(1, n):
+        labels = closure_labels(n, word)
+        if labels[g - 1] != labels[g]:
+            word += bytes((g,))
+    return word
 
 
 def random_word(rng, max_strands=4, max_letters=8, positive=False) -> BraidWord:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exponent_sum, random_word
+from conftest import exponent_sum, knot_word, random_word
 from slopecert import homfly
 from slopecert.braid import (
     BraidWord,
@@ -281,6 +281,14 @@ class TestGammaPositive:
         w = BraidWord(3, (1, 2, 1, 2, 1, 2))
         assert gamma_positive(w).gamma == oracle_gamma(w)
 
+    def test_a_word_on_more_than_256_strands_is_past_the_limit(self):
+        # on 256 strands every letter fits a byte: a trefoil on the last two
+        # beside 254 unknots has the trefoil's N
+        assert gamma_positive(BraidWord(256, (255,) * 3)).gamma_normalized == LaurentPoly({0: 2, 1: 1})
+        message = "^gamma_positive: a word on 257 strands is past the engine's limit of 256 strands$"
+        with pytest.raises(ValueError, match=message):
+            gamma_positive(BraidWord(257, (256,) * 3))
+
 
 class TestConversionCalibration:
     def test_split_unions(self):
@@ -331,7 +339,7 @@ class TestRewrites:
 
     @staticmethod
     def check_square(n, letters):
-        found = _find_square(letters, n)
+        found = _find_square(bytes(letters), n)
         assert found is not None
         assert len(found) == len(letters) and found[0] == found[1]
         assert exponent_sum(found) == exponent_sum(letters)
@@ -371,16 +379,17 @@ class TestRewrites:
         for w in self.DESCENT_ONLY:
             L = len(w.letters)
             rotations = [w.letters[i:] + w.letters[:i] for i in range(L)]
-            assert all(_square_at_recrossing(w.strands, r) is None for r in rotations)
+            assert all(_square_at_recrossing(w.strands, bytes(r)) is None for r in rotations)
             self.check_square(w.strands, w.letters)
 
     @staticmethod
     def reduced_words(n):
-        """Every nonempty reduced word on n strands, shortest first: each
-        extends a shorter one by a letter on two strands not yet crossed."""
-        level, words = [()], []
+        """Every nonempty reduced word on n strands as ``bytes``, shortest
+        first: each extends a shorter one by a letter on two strands not
+        yet crossed."""
+        level, words = [b""], []
         while level:
-            level = [w + (g,) for w in level for g in range(1, n) if _square_at_recrossing(n, w + (g,)) is None]
+            level = [w + bytes((g,)) for w in level for g in range(1, n) if _square_at_recrossing(n, w + bytes((g,))) is None]
             words += level
         return words
 
@@ -420,7 +429,7 @@ class TestRewrites:
     def test_find_square_raises_outside_its_precondition(self):
         # sigma_1 alone: its one rotation and its descent conjugates are itself
         with pytest.raises(ValueError, match="a generator occurs less than twice"):
-            _find_square((1,), 2)
+            _find_square(b"\x01", 2)
 
     @staticmethod
     def least_recrossing_square(n, word):
@@ -444,15 +453,55 @@ class TestRewrites:
     def test_find_square_returns_the_eager_search_word(self):
         words = [*self.square_search_words(), *((w.strands, w.letters) for w in self.DESCENT_ONLY)]
         for n, letters in words:
+            letters = bytes(letters)
             assert _find_square(letters, n) == self.eager_find_square(letters, n)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=24).map(tuple))))
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=24).map(bytes))))
     def test_window_search_matches_every_rotation(self, word):
         n, letters = word
-        i = _least_recrossing_rotation(n, letters)
-        found = None if i is None else _square_at_recrossing(n, letters[i:] + letters[:i])
-        assert found == self.least_recrossing_square(n, letters)
+        assert _least_recrossing_rotation(n, letters) == self.least_recrossing_square(n, letters)
+
+    @staticmethod
+    def reference_least_recrossing_index(n, word):
+        """The window search as it was before it returned the square: the
+        first i whose rotation has its first recrossing at the least
+        generator, or None, so the square was then re-walked from rotation
+        i by _square_at_recrossing."""
+        L = len(word)
+        doubled = word + word
+        pos, at = list(range(n)), list(range(n))
+        best, best_g, e = None, n, 0
+        for i in range(L):
+            end = i + L
+            while e < end:
+                g = doubled[e]
+                left, right = pos[g - 1], pos[g]
+                if left > right:
+                    if g < best_g:
+                        best, best_g = i, g
+                    break
+                pos[g - 1], pos[g] = right, left
+                at[left], at[right] = g, g - 1
+                e += 1
+            if best_g == 1:
+                break
+            g = doubled[i]
+            left, right = at[g - 1], at[g]
+            pos[left], pos[right] = g, g - 1
+            at[g - 1], at[g] = right, left
+        return best
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=40))))
+    def test_window_square_is_the_square_at_the_window_rotation(self, word):
+        # the square the window keeps equals the old two steps: the index,
+        # then _square_at_recrossing walking that rotation's prefix again
+        n, letters = word
+        knot = knot_word(n, letters)
+        i = self.reference_least_recrossing_index(n, knot)
+        expected = None if i is None else _square_at_recrossing(n, knot[i:] + knot[:i])
+        assert _least_recrossing_rotation(n, knot) == expected
 
 
 class TestCableClosuresEmpirically:

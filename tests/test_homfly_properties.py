@@ -7,25 +7,30 @@ checked on signed words.
 The fast engine's driver is checked against the recursive evaluator it
 replaced, kept here as a reference: both must give the same polynomial and
 fill the memo with the same entries in the same order. The reference cuts a
-connected sum by its own split, so that check compares two cuts. Every key in that
-memo must close to a knot, and every value must have the three properties
-of ``gamma_positive``'s lemma.
+connected sum by its own split and splits a square's smoothing with the
+signed ``component_words``, so that check compares two cuts and two splits;
+the engine's positive split is also checked against ``component_words``
+directly. Every key in that memo must close to a knot, and every value must
+have the three properties of ``gamma_positive``'s lemma.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
-That key is checked against every rotation of the word. Runs are
-derandomized, so every failure reproduces.
+That key is checked against every rotation of the word, as a tuple and as
+``bytes``, the fast engine's word type. Runs are derandomized, so every
+failure reproduces.
 """
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import knot_word
 from slopecert import homfly
 from slopecert.braid import BraidWord, closure_labels, component_words
 from slopecert.homfly import (
     _find_square,
     _min_rotation,
+    _split_link,
     clear_caches,
     gamma_linking_formula,
     gamma_positive,
@@ -114,7 +119,11 @@ def test_stabilisation(data):
 
 
 def assert_least_rotation(w):
-    assert _min_rotation(w) == min((w[i:] + w[:i] for i in range(len(w))), default=())
+    least = min((w[i:] + w[:i] for i in range(len(w))), default=())
+    assert _min_rotation(w) == least
+    # and as bytes, the fast engine's word type: shifting every letter by 8
+    # keeps their order, so it keeps the least rotation
+    assert _min_rotation(bytes(x + 8 for x in w)) == bytes(x + 8 for x in least)
 
 
 @PROFILE
@@ -153,10 +162,25 @@ def test_linking_formula_over_the_component_words(word):
     assert gamma_linking_formula(gammas, linking) == zeroth_gamma(homfly_oracle(BraidWord(n, letters)))
 
 
+@PROFILE
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), letters_on(n, 30), st.integers(1, n - 1))))
+@example((2, (), 1))
+@example((4, (1, 3, 3, 2, 2), 2))
+def test_split_link_equals_component_words(word):
+    # a positive knot with one more letter closes to a two-component link;
+    # the engine's positive split gives component_words' two words
+    n, letters, g = word
+    link = knot_word(n, letters) + bytes((g,))
+    words, _ = component_words(n, link)
+    assert _split_link(n, link) == tuple((k, bytes(w)) for k, w in words)
+
+
 def reference_gamma_rec(n, letters):
     """The recursive evaluator that the driver loop replaced: the same
-    rules, memo reads and memo writes, on the call stack. It takes a knot
-    and returns N = gamma / (-a)^h, h its genus, the value the memo holds."""
+    rules, memo reads and memo writes, on the call stack. It takes a knot,
+    as ``bytes`` like the engine, and returns N = gamma / (-a)^h, h its
+    genus, the value the memo holds. It splits the square's smoothing with
+    ``component_words``, not the engine's ``_split_link``."""
     key = (n, _min_rotation(letters))
     cached = homfly._gamma_memo.get(key)
     if cached is not None:
@@ -169,14 +193,14 @@ def reference_gamma_rec(n, letters):
         # cut directly, not by strand deletion as the driver does: the
         # summands are the braids on strands 1..g and g+1..n, without g
         g = once[0]
-        left = reference_gamma_rec(g, tuple(x for x in letters if x < g))
-        result = left * reference_gamma_rec(n - g, tuple(x - g for x in letters if x > g))
+        left = reference_gamma_rec(g, bytes(x for x in letters if x < g))
+        result = left * reference_gamma_rec(n - g, bytes(x - g for x in letters if x > g))
     else:
         found = _find_square(letters, n)
         r = reference_gamma_rec(n, found[2:])
-        (first, second), _ = component_words(n, found[1:])
-        k1 = reference_gamma_rec(*first)
-        result = r + ONE_PLUS_ALPHA * k1 * reference_gamma_rec(*second)
+        ((n1, first), (n2, second)), _ = component_words(n, found[1:])
+        k1 = reference_gamma_rec(n1, bytes(first))
+        result = r + ONE_PLUS_ALPHA * k1 * reference_gamma_rec(n2, bytes(second))
 
     homfly._gamma_memo[key] = result
     return result
@@ -189,7 +213,7 @@ def assert_driver_matches_reference(w):
     clear_caches()
     expected = ONE_PLUS_ALPHA ** (len(words) - (w.strands - len(set(w.letters))))
     for k, word in words:
-        expected = expected * reference_gamma_rec(k, word)
+        expected = expected * reference_gamma_rec(k, bytes(word))
     expected_memo = list(homfly._gamma_memo.items())
     clear_caches()
     assert gamma_positive(w).gamma_normalized == expected
