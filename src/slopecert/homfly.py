@@ -17,9 +17,16 @@ most 255, so it takes words on at most 256 strands (``MAX_STRANDS``) and
 raises ValueError naming that limit past it. Its memo holds knots only:
 for a knot of e letters on n strands, the normalised polynomial
 N = gamma / (-a)^h, where gamma is the zeroth coefficient polynomial and
-h = (e - n + 1)/2 is the genus. Three rules give N, each by adding or
-multiplying:
-1. a knot on one strand gives 1;
+h = (e - n + 1)/2 is the genus. N lies in Z[a] with nonnegative
+coefficients (``gamma_positive``'s lemma), so the engine holds it as the
+tuple of its coefficients from a^0 up, with no trailing zero: a product is
+a short convolution (``_times``), (a+1) X is X plus X shifted by one
+(``_plus``), and ``gamma_positive`` turns each component's N into a
+``LaurentPoly`` once. Three rules give N, each by adding or multiplying:
+1. a knot of n - 1 letters on n strands uses each generator once, so
+   rule 2 cuts it into one-strand knots and it is the unknot: N = 1. It is
+   answered where it is requested, by ``gamma_positive`` or by the rule
+   that cut it off, so it starts no node and takes no memo entry;
 2. a knot with a generator g used once is a connected sum: without that
    letter it closes to the split link of the two summands, whose words
    ``_split_link`` gives, and N is the product of the summands' N;
@@ -29,27 +36,30 @@ multiplying:
    g R and its linking number absorbed into h.
 Both cuts leave a two-component link of a positive word, and no rule reads
 a linking number, so one positive walk, ``_split_link``, gives the two
-words in place of the signed ``component_words``. So only knots are
-squared or stored. For rule 3, in a rotation of the word, the prefix P
-before the first letter g whose two strands have already crossed is a
-permutation braid with right descent g, so P = Q g for a reduced word Q
-read off its permutation (Garside; El-Rifai and Morton). The rotation
-taken is the first whose first recrossing is at the least generator g; one
-window sliding over the doubled word finds it, because a suffix of a
-permutation braid is one, so the window's end only moves right. The window
-keeps the permutation of P at the best rotation, so the square is written
-from it without walking P again. That choice sets which sub-words a cold
-walk meets: 8/3's cable fills the memo with 107 entries, against 232 when
-the first rotation with any recrossing is taken. When every rotation is a
-permutation braid, a walk over descent conjugates reaches a word with a
-rotation that is not (Geck and Pfeiffer), so the square search always ends
-and the engine never calls the oracle. The skein triple at the square
-g g R is of positive braid words: R is a knot, g R a two-component link,
-and both have fewer letters; so do K1 and K2, on fewer strands. Each
-engine's rules are a generator, ``_oracle_node`` or ``_gamma_node``, that
-yields each sub-word it needs; one loop, ``_run``, runs both engines from a
-list of suspended nodes and alone reads and writes the memos, so Python's
-stack does not bound the depth.
+words in place of the signed ``component_words``: the first component is
+the cycle of the closure permutation through position 0, followed by one
+walk of its own. So only knots are squared or stored. For rule 3, in a
+rotation of the word, the prefix P before the first letter g whose two
+strands have already crossed is a permutation braid with right descent g,
+so P = Q g for a reduced word Q read off its permutation (Garside;
+El-Rifai and Morton). The rotation taken is the first whose first
+recrossing is at the least generator g; one window sliding over the
+doubled word finds it, because a suffix of a permutation braid is one, so
+the window's end only moves right. The window keeps the permutation of P
+at the best rotation, so the square is written from it without walking P
+again. That choice sets which sub-words a cold walk meets: 8/3's cable
+reaches 107 rotation classes of knots (104 memo entries and the unknot on
+1, 2 and 3 strands), against 232 when the first rotation with any
+recrossing is taken. When every rotation is a permutation braid, a walk
+over descent conjugates reaches a word with a rotation that is not (Geck
+and Pfeiffer), so the square search always ends and the engine never calls
+the oracle. The skein triple at the square g g R is of positive braid
+words: R is a knot, g R a two-component link, and both have fewer letters;
+so do K1 and K2, on fewer strands. Each engine's rules are a generator,
+``_oracle_node`` or ``_gamma_node``, that yields each sub-word it needs;
+one loop, ``_run``, runs both engines from a list of suspended nodes and
+alone reads and writes the memos, so Python's stack does not bound the
+depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -61,6 +71,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .braid import BraidWord, closure_components, closure_labels, component_words
@@ -399,9 +410,9 @@ def _find_square(letters: bytes, n: int) -> bytes:
     Any rotation with a recrossing gives a square; which one is taken sets
     the sub-words the skein steps yield. The least generator was chosen by
     measurement: on every iterated cable measured, a cold walk meets fewer
-    of them than with the first rotation that has a recrossing (memo
-    entries: 8/3 107 against 232, 3/4 137 against 511, 11/3 187 against
-    446, 8/5 1,514 against 3,121).
+    of them than with the first rotation that has a recrossing (rotation
+    classes of knots reached, unknots included: 8/3 107 against 232, 3/4
+    137 against 511, 11/3 187 against 446, 8/5 1,514 against 3,121).
 
     The walk always finds a square, so this never raises, when each
     generator occurs at least twice, as in every word ``_gamma_node``
@@ -439,12 +450,20 @@ def _split_link(n: int, letters: bytes) -> tuple:
 
     It follows positions, not strands: side[k] is the component of the
     strand at position k and rank[k] its rank among that component's
-    strands, counted from 1 on the left. Two strands of one component at
-    g-1 and g have ranks r and r+1, and as they cross each takes the
-    other's place and rank, so a crossing within a component changes
-    neither list and is kept as generator r; one between components swaps
-    both lists' entries at g-1 and g."""
-    side = closure_labels(n, letters)
+    strands, counted from 1 on the left. The cycle through position 0 of
+    the closure permutation is the first component, and every other
+    position is the second. Two strands of one component at g-1 and g have
+    ranks r and r+1, and as they cross each takes the other's place and
+    rank, so a crossing within a component changes neither list and is kept
+    as generator r; one between components swaps both lists' entries at g-1
+    and g."""
+    perm = list(range(n))  # perm[k]: the top position of the strand ending at k
+    for g in letters:
+        perm[g - 1], perm[g] = perm[g], perm[g - 1]
+    side, k = [1] * n, 0
+    while side[k]:
+        side[k] = 0
+        k = perm[k]
     rank, sizes = [], [0, 0]
     for k in side:
         sizes[k] += 1
@@ -460,32 +479,48 @@ def _split_link(n: int, letters: bytes) -> tuple:
     return (sizes[0], bytes(kept[0])), (sizes[1], bytes(kept[1]))
 
 
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two polynomials in Z[a], each the tuple of its
+    coefficients from a^0 up."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        for j, d in enumerate(y, i):
+            out[j] += c * d
+    return tuple(out)
+
+
+def _plus(x: tuple, y: tuple) -> tuple:
+    """The sum of two coefficient tuples, as in ``_times``."""
+    if len(x) < len(y):
+        x, y = y, x
+    return tuple(map(add, x, y)) + x[len(y) :]
+
+
 def _gamma_node(n: int, letters: bytes):
     """The rules for one knot: yield each sub-knot (n, letters) needed, be
-    sent its N, and return this knot's N = gamma / (-a)^h, h its genus.
-    Rules 2 and 3 each delete one letter, which leaves a two-component
-    link, and take its components' words from ``_split_link``."""
-    if n == 1:
-        return LaurentPoly.one()
-
+    sent its N, and return this knot's N = gamma / (-a)^h, h its genus, as
+    the tuple of its coefficients from a^0 up. Rules 2 and 3 each delete
+    one letter, which leaves a two-component link, and take its
+    components' words from ``_split_link``. A sub-knot of k - 1 letters on
+    k strands is the unknot, N = 1 (rule 1), and is not yielded."""
     counts = [letters.count(g) for g in range(1, n)]
     if 1 in counts:
         # a knot uses every generator; without the least one used once it
-        # closes to the split link of the two summands
+        # closes to the split link of the two summands, and N is their product
         i = letters.index(counts.index(1) + 1)
-        first, second = _split_link(n, letters[:i] + letters[i + 1 :])
-        left = yield first
-        right = yield second
-        return left * right
-
-    # found = g g rest; skein triple of positive words. rest has the knot's
-    # permutation, and the smoothing g rest two components.
-    found = _find_square(letters, n)
-    r = yield n, found[2:]
-    first, second = _split_link(n, found[1:])
-    k1 = yield first
-    k2 = yield second
-    return r + ONE_PLUS_ALPHA * k1 * k2
+        r, link = None, letters[:i] + letters[i + 1 :]
+    else:
+        # found = g g rest; skein triple of positive words. rest has the
+        # knot's permutation, and the smoothing g rest two components.
+        found = _find_square(letters, n)
+        rest = found[2:]
+        r = (yield n, rest) if len(rest) >= n else (1,)
+        link = found[1:]
+    (n1, word1), (n2, word2) = _split_link(n, link)
+    k1 = (yield n1, word1) if len(word1) >= n1 else (1,)
+    k2 = (yield n2, word2) if len(word2) >= n2 else (1,)
+    product = _times(k1, k2)
+    return product if r is None else _plus(r, _plus(product, (0,) + product))
 
 
 def gamma_positive(w: BraidWord) -> GammaResult:
@@ -497,23 +532,25 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     generators) counts split factors, h = (e - n + 2 - c)/2, a whole number
     since e has the parity of n - c, and N, the normalized polynomial, is
     (a+1)^{c-s} times the product of the memo's N over the closure's
-    components, which are knots (see the module docstring). The loop
-    ``_run``, which runs both engines, takes words of any length; only the
-    caller's crossing budget bounds the work, which grows fast with the
+    components, which are knots (see the module docstring); an unknot
+    component, k - 1 letters on k strands, gives 1 without the memo. The
+    loop ``_run``, which runs both engines, takes words of any length; only
+    the caller's crossing budget bounds the work, which grows fast with the
     strand count. On more than ``MAX_STRANDS`` (256) strands, or out of
     memory, this raises ValueError. Measured through the ``certify`` CLI
-    (median of 3 runs, Intel Xeon 2 vCPU, Python 3.11.7), with words held
-    as ``bytes``: 1000/3 at budget 2000 (1,996 letters on 3 strands) takes
-    0.40 s and a VmPeak of 30 MB, 7/5 at budget 300 (268 letters on 15
-    strands) 5.5 s and 99 MB, and 4/5 at budget 300 (269 letters on 20
-    strands) 3.9 s and 81 MB; as tuples they took 3.1 s and 51 MB, 8.2 s
-    and 130 MB, and 5.6 s and 106 MB.
+    (median of 5 runs, Intel Xeon 2 vCPU, Python 3.11.7), with each N held
+    as a coefficient tuple: 1000/3 at budget 2000 (1,996 letters on 3
+    strands) takes 0.40 s and a VmPeak of 30 MB, 7/5 at budget 300 (268
+    letters on 15 strands) 5.1 s and 68 MB, and 4/5 at budget 300 (269
+    letters on 20 strands) 3.6 s and 59 MB; with each N a ``LaurentPoly``
+    they took 0.42 s and 30 MB, 6.0 s and 99 MB, and 4.1 s and 81 MB.
 
     Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
     Proof. For a knot, c = s = 1 and h = (e - n + 1)/2 is the genus. First,
     each rule of ``_gamma_node`` gives N = gamma / (-a)^h of its knot: with
     gamma_i, N_i, h_i, e_i and n_i for the sub-knots,
-    - one strand: e = 0, so h = 0 and N = gamma = 1;
+    - the unknot, e = n - 1: each generator occurs once, so the closure
+      destabilises to one strand, h = 0 and N = gamma = 1;
     - a connected sum at g, which the knot uses once: the word without
       that letter is a braid on strands 1..g beside one on g+1..n, whose
       closures are the summands, so ``_split_link`` gives their words.
@@ -556,7 +593,9 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     normalized = ONE_PLUS_ALPHA ** (c - s)
     try:
         for k, word in words:
-            normalized = normalized * _run(_gamma_node, _gamma_memo, k, bytes(word))
+            if len(word) >= k:  # else the unknot, N = 1
+                coefficients = _run(_gamma_node, _gamma_memo, k, bytes(word))
+                normalized = normalized * LaurentPoly(dict(enumerate(coefficients)))
     except MemoryError:
         raise ValueError(
             f"gamma_positive: out of memory on a word of {len(w.letters)} letters on {w.strands} strands"

@@ -281,6 +281,15 @@ class TestGammaPositive:
         w = BraidWord(3, (1, 2, 1, 2, 1, 2))
         assert gamma_positive(w).gamma == oracle_gamma(w)
 
+    @pytest.mark.parametrize("w", [UNKNOT, BraidWord(2, (1,)), BraidWord(4, (2, 1, 3)), BraidWord(5, (4, 1, 3, 2))])
+    def test_a_knot_of_one_letter_less_than_its_strands_is_the_unknot(self, w):
+        # it uses each generator once, so it is answered with N = 1 where it
+        # is requested, and nothing is stored
+        clear_caches()
+        result = gamma_positive(w)
+        assert result.gamma == result.gamma_normalized == LaurentPoly.one()
+        assert homfly._gamma_memo == {}
+
     def test_a_word_on_more_than_256_strands_is_past_the_limit(self):
         # on 256 strands every letter fits a byte: a trefoil on the last two
         # beside 254 unknots has the trefoil's N
@@ -535,22 +544,26 @@ class TestCableClosuresEmpirically:
 
 
 class TestWorkIsPinned:
-    """A cold evaluation of a benchmark cable fills the memo to a fixed size.
-    The size depends on the sub-words a walk meets, and ``_find_square``
-    picks its rotation relative to the word it is given, so it depends on
-    the order of the requests as well as on rotation classes: requesting K1
-    and K2 before R leaves 105 entries for 8/3, not 107. So the counts pin
-    the three rules of ``_gamma_node`` and its request order R, K1, K2."""
+    """A cold evaluation of a benchmark cable reaches a fixed number of
+    rotation classes of knots. The number depends on the sub-words a walk
+    meets, and ``_find_square`` picks its rotation relative to the word it
+    is given, so it depends on the order of the requests as well as on
+    rotation classes: requesting K1 and K2 before R stores 102 entries for
+    8/3, not 104. So the counts pin the three rules of ``_gamma_node`` and
+    its request order R, K1, K2. An unknot, k - 1 letters on k strands, is
+    answered where it is requested and never stored; each of these walks
+    meets it on 1, 2 and 3 strands and on no more, so the memo holds all
+    but those three classes."""
 
     @pytest.mark.parametrize(
-        "slope, entries",
+        "slope, classes",
         [((8, 3), 107), ((5, 3), 43), ((3, 4), 137), ((11, 3), 187), ((25, 6), 1745), ((21, 5), 349)],
     )
-    def test_cold_gamma_memo_size(self, slope, entries):
+    def test_cold_gamma_memo_size(self, slope, classes):
         _, w = choose_params(*slope)
         clear_caches()
         gamma_positive(w)
-        assert len(homfly._gamma_memo) == entries
+        assert len(homfly._gamma_memo) == classes - 3
 
     @pytest.mark.parametrize(
         "w, entries",

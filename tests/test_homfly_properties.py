@@ -7,11 +7,12 @@ checked on signed words.
 The fast engine's driver is checked against the recursive evaluator it
 replaced, kept here as a reference: both must give the same polynomial and
 fill the memo with the same entries in the same order. The reference cuts a
-connected sum by its own split and splits a square's smoothing with the
-signed ``component_words``, so that check compares two cuts and two splits;
-the engine's positive split is also checked against ``component_words``
-directly. Every key in that memo must close to a knot, and every value must
-have the three properties of ``gamma_positive``'s lemma.
+connected sum by its own split, splits a square's smoothing with the
+signed ``component_words`` and computes in ``LaurentPoly``, so that check
+compares two cuts, two splits and two arithmetics; the engine's positive
+split is also checked against ``component_words`` directly. Every key in
+that memo must close to a knot, and every value must be a canonical
+coefficient tuple with the three properties of ``gamma_positive``'s lemma.
 
 The memos are cleared before every evaluation, since both key on the least
 rotation of the word and would otherwise answer a rotated word from memory.
@@ -179,17 +180,19 @@ def reference_gamma_rec(n, letters):
     """The recursive evaluator that the driver loop replaced: the same
     rules, memo reads and memo writes, on the call stack. It takes a knot,
     as ``bytes`` like the engine, and returns N = gamma / (-a)^h, h its
-    genus, the value the memo holds. It splits the square's smoothing with
-    ``component_words``, not the engine's ``_split_link``."""
+    genus, as a ``LaurentPoly``; the memo holds it as the engine's
+    coefficient tuple does. It splits the square's smoothing with
+    ``component_words``, not the engine's ``_split_link``, and answers the
+    unknot, n - 1 letters, without the memo."""
+    if len(letters) == n - 1:
+        return LaurentPoly.one()
     key = (n, _min_rotation(letters))
     cached = homfly._gamma_memo.get(key)
     if cached is not None:
         return cached
 
     once = [g for g in range(1, n) if letters.count(g) == 1]
-    if n == 1:
-        result = LaurentPoly.one()
-    elif once:
+    if once:
         # cut directly, not by strand deletion as the driver does: the
         # summands are the braids on strands 1..g and g+1..n, without g
         g = once[0]
@@ -217,7 +220,8 @@ def assert_driver_matches_reference(w):
     expected_memo = list(homfly._gamma_memo.items())
     clear_caches()
     assert gamma_positive(w).gamma_normalized == expected
-    assert list(homfly._gamma_memo.items()) == expected_memo
+    memo = [(key, LaurentPoly(dict(enumerate(value)))) for key, value in homfly._gamma_memo.items()]
+    assert memo == expected_memo
 
 
 @PROFILE
@@ -281,14 +285,13 @@ def test_normalized_gamma_has_a_positive_constant_term(word):
 def assert_memo_holds_normalized_polynomials(w):
     # the induction of gamma_positive's lemma, entry by entry: every value
     # the rules compute lies in Z[a], has nonnegative coefficients and a
-    # constant term of at least 1
+    # constant term of at least 1; the engine holds it as the tuple of its
+    # coefficients from a^0 up, with no trailing zero
     clear_caches()
     gamma_positive(w)
-    assert homfly._gamma_memo
     for value in homfly._gamma_memo.values():
-        terms = dict(value.items())
-        assert all(k >= 0 and c > 0 for k, c in terms.items()), value
-        assert terms.get(0, 0) >= 1, value
+        assert type(value) is tuple and all(type(c) is int and c >= 0 for c in value), value
+        assert value[0] >= 1 and value[-1] != 0, value
 
 
 @PROFILE
@@ -301,6 +304,7 @@ def test_every_memo_value_is_a_normalized_polynomial(word):
 @pytest.mark.parametrize("slope", [(8, 3), (5, 3), (21, 5)])
 def test_every_memo_value_is_a_normalized_polynomial_on_cables(slope):
     assert_memo_holds_normalized_polynomials(choose_params(*slope)[1])
+    assert homfly._gamma_memo
 
 
 def assert_memo_holds_knots(w):
@@ -308,7 +312,6 @@ def assert_memo_holds_knots(w):
     # input and inside the square rule, and its links are never stored
     clear_caches()
     gamma_positive(w)
-    assert homfly._gamma_memo
     for key in homfly._gamma_memo:
         assert max(closure_labels(*key)) == 0, key
 
@@ -323,3 +326,4 @@ def test_every_memo_key_is_a_knot(word):
 @pytest.mark.parametrize("slope", [(8, 3), (21, 5)])
 def test_every_memo_key_is_a_knot_on_cables(slope):
     assert_memo_holds_knots(choose_params(*slope)[1])
+    assert homfly._gamma_memo
