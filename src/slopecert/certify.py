@@ -346,7 +346,8 @@ def batch(
     one outside the working range, a cable too large to build, an engine
     out of memory, or a failed internal check. A label (and ``mirror_of``)
     longer than 32 characters is quoted by its start and its length
-    (``quote.clip``).
+    (``quote.clip``), and a text that is not printable, such as one holding
+    a terminal escape, by its repr.
     """
     report = BatchReport()
     for item in slopes:
@@ -356,7 +357,8 @@ def batch(
             error = f"{type(item).__name__} {text} is not a slope: give 'P/Q', 'P' or a pair of ints"
             report.entries.append(BatchEntry(slope=text, error=error))
             continue
-        label = clip("{}/{}".format(*map(safe_repr, item)) if pair else item.strip())
+        text = "{}/{}".format(*map(safe_repr, item)) if pair else item.strip()
+        label = clip(text, str if text.isprintable() else repr)
         too_long = pair and _past_int_limit(digits(item[0]), digits(item[1]))
         if too_long:
             report.entries.append(BatchEntry(slope=label, error=f"invalid slope {label}: {too_long}"))

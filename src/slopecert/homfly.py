@@ -50,16 +50,17 @@ at the best rotation, so the square is written from it without walking P
 again. That choice sets which sub-words a cold walk meets: 8/3's cable
 reaches 107 rotation classes of knots (104 memo entries and the unknot on
 1, 2 and 3 strands), against 232 when the first rotation with any
-recrossing is taken. When every rotation is a permutation braid, a walk
-over descent conjugates reaches a word with a rotation that is not (Geck
-and Pfeiffer), so the square search always ends and the engine never calls
-the oracle. The skein triple at the square g g R is of positive braid
-words: R is a knot, g R a two-component link, and both have fewer letters;
-so do K1 and K2, on fewer strands. Each engine's rules are a generator,
-``_oracle_node`` or ``_gamma_node``, that yields each sub-word it needs;
-one loop, ``_run``, runs both engines from a list of suspended nodes and
-alone reads and writes the memos, so Python's stack does not bound the
-depth.
+recrossing is taken. The window is the engine's only recrossing finder.
+When every rotation is a permutation braid, a walk over descent
+conjugates, read off each word's permutation in one pass, reaches a word
+with a rotation that is not (Geck and Pfeiffer), so the square search
+always ends and the engine never calls the oracle. The skein triple at
+the square g g R is of positive braid words: R is a knot, g R a
+two-component link, and both have fewer letters; so do K1 and K2, on fewer
+strands. Each engine's rules are a generator, ``_oracle_node`` or
+``_gamma_node``, that yields each sub-word it needs; one loop, ``_run``,
+runs both engines from a list of suspended nodes and alone reads and
+writes the memos, so Python's stack does not bound the depth.
 
 The zeroth coefficient polynomial of a link L is the z-degree-0 layer of
 (z/v)^{|L|-1} * P_L(v, z) with a = -v^2 substituted. For an n-component
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-from .braid import BraidWord, closure_components, closure_labels, component_words
+from .braid import BraidWord, _permutation, closure_components, closure_labels, component_words
 from .poly import BiLaurent, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, neg_alpha_pow
 from .quote import quote
 
@@ -311,10 +312,15 @@ def gamma_linking_formula(component_gammas, total_linking: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _sorting_word(pos: list) -> bytes:
-    """A reduced word that carries the identity arrangement of strands to
-    ``pos``: the swaps of a bubble sort of ``pos``, read backwards."""
+def _sorting_word(pos: list, g: int) -> bytes:
+    """A reduced word Q with Q g = P, for the permutation braid P whose
+    arrangement of strands is ``pos`` (as in ``braid._permutation``: pos[k]
+    is the top position of the strand now at k) and whose right descent is
+    g: undo the crossing at g, then read the swaps of a bubble sort
+    backwards. Reduced words of one permutation differ only by braid
+    relations (Matsumoto), so Q g and P are one braid."""
     arr = list(pos)
+    arr[g - 1], arr[g] = arr[g], arr[g - 1]
     swaps = []
     for end in range(len(arr) - 1, 0, -1):
         for j in range(end):
@@ -324,40 +330,24 @@ def _sorting_word(pos: list) -> bytes:
     return bytes(reversed(swaps))
 
 
-def _square_at_recrossing(n: int, word: bytes) -> Optional[bytes]:
-    """Conjugate ``word`` = P g rest, where g is the first letter on two
-    strands that P already crossed, to g g rest Q; None if ``word`` is a
-    permutation braid. Only the descent walk of ``_find_square`` calls it.
-
-    P is a permutation braid with right descent g, so P = Q g for the
-    reduced word Q of its permutation times s_g (reduced words of one
-    permutation differ only by braid relations, Matsumoto)."""
-    pos = list(range(n))
-    for k, g in enumerate(word):
-        crossed = pos[g - 1] > pos[g]
-        pos[g - 1], pos[g] = pos[g], pos[g - 1]
-        if crossed:
-            return bytes((g, g)) + word[k + 1 :] + _sorting_word(pos)
-    return None
-
-
-def _descent_conjugates(n: int, word: bytes, left: bool):
-    """g Q for each right descent g of the permutation braid ``word`` = Q g;
-    with ``left``, Q' g for each left descent g of ``word`` = g Q', by the
-    same move on the reversed word, reversed back."""
-    w = word[::-1] if left else word
-    for g in range(1, n):
-        descent = _square_at_recrossing(n, w + bytes((g,)))
-        if descent is not None:
-            conjugate = bytes((g,)) + descent[2:]
-            yield conjugate[::-1] if left else conjugate
+def _descent_conjugates(n: int, word: bytes):
+    """The conjugates of the permutation braid ``word`` that move one
+    descent to the other end, read off its permutation: g Q for each right
+    descent g of ``word`` = Q g, in ascending g; then Q' g for each left
+    descent g of ``word`` = g Q', by the same move on the reversed word,
+    reversed back."""
+    for step in (1, -1):
+        pos = _permutation(n, word[::step])
+        for g in range(1, n):
+            if pos[g - 1] > pos[g]:
+                yield (bytes((g,)) + _sorting_word(pos, g))[::step]
 
 
 def _least_recrossing_rotation(n: int, word: bytes) -> Optional[bytes]:
     """The square g g rest Q of the first rotation word[i:] + word[:i]
     whose first recrossing is at the least generator g, where that rotation
-    is P g rest and P = Q g (as in ``_square_at_recrossing``); None if every
-    rotation is a permutation braid.
+    is P g rest and P = Q g (``_sorting_word``); None if every rotation is
+    a permutation braid.
 
     One pass over the doubled word: the window doubled[i:e] is the longest
     prefix of rotation i that is a permutation braid, held as pos[k], the
@@ -394,9 +384,7 @@ def _least_recrossing_rotation(n: int, word: bytes) -> Optional[bytes]:
     if best is None:
         return None
     i, e, pos = best
-    g = best_g
-    pos[g - 1], pos[g] = pos[g], pos[g - 1]
-    return bytes((g, g)) + doubled[e + 1 : i + L] + _sorting_word(pos)
+    return bytes((best_g, best_g)) + doubled[e + 1 : i + L] + _sorting_word(pos, best_g)
 
 
 def _find_square(letters: bytes, n: int) -> bytes:
@@ -404,8 +392,11 @@ def _find_square(letters: bytes, n: int) -> bytes:
     starts with a square (g, g): the square of the first rotation whose
     first recrossing is at the least generator
     (``_least_recrossing_rotation``), of ``letters`` and then of each word
-    a breadth-first walk over descent conjugates reaches. Raises ValueError
-    if the walk ends without one. Words are ``bytes``, one letter a byte.
+    a breadth-first walk over descent conjugates reaches; each word's
+    conjugates are read off its permutation in one pass
+    (``_descent_conjugates``), and the window is the only recrossing finder.
+    Raises ValueError if the walk ends without one. Words are ``bytes``,
+    one letter a byte.
 
     Any rotation with a recrossing gives a square; which one is taken sets
     the sub-words the skein steps yield. The least generator was chosen by
@@ -434,11 +425,10 @@ def _find_square(letters: bytes, n: int) -> bytes:
         found = _least_recrossing_rotation(n, word)
         if found is not None:
             return found
-        for left in (False, True):
-            for conjugate in _descent_conjugates(n, word, left):
-                if conjugate not in seen:
-                    seen.add(conjugate)
-                    walk.append(conjugate)
+        for conjugate in _descent_conjugates(n, word):
+            if conjugate not in seen:
+                seen.add(conjugate)
+                walk.append(conjugate)
     raise ValueError(f"no square for {BraidWord(n, letters)}: a generator occurs less than twice")
 
 
@@ -538,12 +528,10 @@ def gamma_positive(w: BraidWord) -> GammaResult:
     the caller's crossing budget bounds the work, which grows fast with the
     strand count. On more than ``MAX_STRANDS`` (256) strands, or out of
     memory, this raises ValueError. Measured through the ``certify`` CLI
-    (median of 5 runs, Intel Xeon 2 vCPU, Python 3.11.7), with each N held
-    as a coefficient tuple: 1000/3 at budget 2000 (1,996 letters on 3
-    strands) takes 0.40 s and a VmPeak of 30 MB, 7/5 at budget 300 (268
-    letters on 15 strands) 5.1 s and 68 MB, and 4/5 at budget 300 (269
-    letters on 20 strands) 3.6 s and 59 MB; with each N a ``LaurentPoly``
-    they took 0.42 s and 30 MB, 6.0 s and 99 MB, and 4.1 s and 81 MB.
+    (median of 5 runs, Intel Xeon 2 vCPU, Python 3.11.7): 1000/3 at budget
+    2000 (1,996 letters on 3 strands) takes 0.40 s and a VmPeak of 30 MB,
+    7/5 at budget 300 (268 letters on 15 strands) 5.1 s and 68 MB, and 4/5
+    at budget 300 (269 letters on 20 strands) 3.6 s and 59 MB.
 
     Lemma: N lies in Z[a], its coefficients are nonnegative and N(0) >= 1.
     Proof. For a knot, c = s = 1 and h = (e - n + 1)/2 is the genus. First,

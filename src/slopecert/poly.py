@@ -60,12 +60,13 @@ def _fields(entry, size: int) -> tuple:
     return tuple(entry)
 
 
-def _ints(entry) -> tuple:
-    """The two fields of a JSON pair, each an int (a bool is not one)."""
-    pair = _fields(entry, 2)
-    if not all(type(x) is int for x in pair):
+def _ints(entry, size: int = 2) -> tuple:
+    """The ``size`` fields of a JSON entry, whose first two are each an int
+    (a bool is not one): a pair, or a row (h, c, pairs)."""
+    fields = _fields(entry, size)
+    if not all(type(x) is int for x in fields[:2]):
         raise ValueError(f"{quote(entry)}: every field must be an int")
-    return pair
+    return fields
 
 
 def _add_pairs(k1: tuple, k2: tuple) -> tuple:
@@ -356,8 +357,8 @@ class SkeinElem(_Sparse):
         it, is rejected, naming the first such row."""
         terms = {}
         for row in _entries(rows, "rows"):
-            h, c, pairs = _fields(row, 3)
-            key = _ints((h, c))
+            h, c, pairs = _ints(row, 3)
+            key = (h, c)
             if h < 0 or c < 0:
                 raise ValueError(f"{quote(row)}: H and C degrees must be nonnegative")
             if terms and key <= last:

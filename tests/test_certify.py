@@ -25,7 +25,7 @@ from slopecert.certify import (
 )
 from slopecert.cli import main
 from slopecert.poly import LaurentPoly, SkeinElem
-from slopecert.quote import count_text, digits
+from slopecert.quote import clip, count_text, digits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -458,6 +458,23 @@ class TestBatch:
             f"-2/1{'0' * 28}... (3005 characters)",
         )
 
+    @pytest.mark.parametrize(
+        "text, label",
+        [
+            ("\x1b[2Jx/1", "'\\x1b[2Jx/1'"),
+            ("3/\x002", "'3/\\x002'"),
+            ("\x07" * 40, repr("\x07" * 32) + "... (40 characters)"),
+            ("x/1", "x/1"),
+        ],
+        ids=["escape", "nul", "long", "printable"],
+    )
+    def test_a_text_that_is_not_printable_is_labelled_by_its_repr(self, text, label):
+        # a terminal escape in a slopes file is never written to the report
+        # as it is; a printable label stays as it is
+        (entry,) = batch([text]).entries
+        assert entry.slope == label
+        assert entry.error.startswith(f"invalid slope {clip(text, repr)}: ")
+
     def test_a_long_letter_count_is_quoted_by_its_start(self):
         # the count has 4,300 digits, so it could be written whole; it is
         # quoted by its first 32 and its digit count instead
@@ -628,6 +645,14 @@ class TestCli:
         assert main(["batch", "--slopes", str(slopes)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_batch_labels_a_slope_that_is_not_printable_by_its_repr(self, tmp_path, capsys):
+        slopes = tmp_path / "slopes.txt"
+        slopes.write_text("\x1b[2Jx/1\n2/1\n")
+        assert main(["batch", "--slopes", str(slopes)]) == 1
+        out = capsys.readouterr().out
+        assert "\x1b" not in out
+        assert out.splitlines()[0].startswith("FAIL slope '\\x1b[2Jx/1': invalid slope '\\x1b[2Jx/1': ")
 
     def test_batch_json_dir(self, tmp_path):
         slopes = tmp_path / "slopes.txt"

@@ -26,7 +26,6 @@ from slopecert.homfly import (
     _descent_conjugates,
     _find_square,
     _least_recrossing_rotation,
-    _square_at_recrossing,
     clear_caches,
     gamma_linking_formula,
     gamma_positive,
@@ -46,6 +45,37 @@ GAMMA_HOPF = LaurentPoly({0: 1, 1: 1})
 
 def oracle_gamma(w: BraidWord) -> LaurentPoly:
     return zeroth_gamma(homfly_oracle(w))
+
+
+def square_at_recrossing(n, word):
+    """The brute-force recrossing finder: conjugate ``word`` = P g rest,
+    where g is the first letter on two strands that P already crossed, to
+    g g rest Q, where Q, a reduced word with Q g = P, is the swaps of a
+    bubble sort of the strands' arrangement after P g, read backwards; None
+    if ``word`` is a permutation braid."""
+    pos = list(range(n))
+    for k, g in enumerate(word):
+        crossed = pos[g - 1] > pos[g]
+        pos[g - 1], pos[g] = pos[g], pos[g - 1]
+        if crossed:
+            swaps = []
+            for end in range(n - 1, 0, -1):
+                for j in range(end):
+                    if pos[j] > pos[j + 1]:
+                        pos[j], pos[j + 1] = pos[j + 1], pos[j]
+                        swaps.append(j + 1)
+            return bytes((g, g)) + word[k + 1 :] + bytes(reversed(swaps))
+    return None
+
+
+def reference_descent_conjugates(n, word, left):
+    """The descent walk's moves on the permutation braid ``word`` by n - 1
+    walks: for each g in ascending order, g Q if ``word`` g has its
+    recrossing at that g, a right descent of ``word`` = Q g; with ``left``,
+    the same on the reversed word, reversed back (a left descent)."""
+    w = word[::-1] if left else word
+    found = (square_at_recrossing(n, w + bytes((g,))) for g in range(1, n))
+    return [f[1:][::-1] if left else f[1:] for f in found if f is not None]
 
 
 def split_factors(w: BraidWord) -> int:
@@ -388,7 +418,7 @@ class TestRewrites:
         for w in self.DESCENT_ONLY:
             L = len(w.letters)
             rotations = [w.letters[i:] + w.letters[:i] for i in range(L)]
-            assert all(_square_at_recrossing(w.strands, bytes(r)) is None for r in rotations)
+            assert all(square_at_recrossing(w.strands, bytes(r)) is None for r in rotations)
             self.check_square(w.strands, w.letters)
 
     @staticmethod
@@ -398,7 +428,7 @@ class TestRewrites:
         yet crossed."""
         level, words = [b""], []
         while level:
-            level = [w + bytes((g,)) for w in level for g in range(1, n) if _square_at_recrossing(n, w + bytes((g,))) is None]
+            level = [w + bytes((g,)) for w in level for g in range(1, n) if square_at_recrossing(n, w + bytes((g,))) is None]
             words += level
         return words
 
@@ -406,7 +436,7 @@ class TestRewrites:
         n = 5
         words = [w for w in self.reduced_words(n) if all(w.count(g) >= 2 for g in range(1, n))]
         assert len(words) == 1226
-        walked = [w for w in words if all(_square_at_recrossing(n, w[i:] + w[:i]) is None for i in range(len(w)))]
+        walked = [w for w in words if all(square_at_recrossing(n, w[i:] + w[:i]) is None for i in range(len(w)))]
         assert len(walked) == 64
         for letters in words:
             self.check_square(n, letters)
@@ -420,16 +450,20 @@ class TestRewrites:
 
     @pytest.mark.parametrize("left", [False, True])
     def test_descent_conjugates_are_conjugates(self, left):
-        # g Q (right) or Q' g (left) with g moved back to the other end is a
-        # reduced word of the start's permutation, so the same permutation
-        # braid; the oracle's gamma must agree as well
+        # the one-walk generator gives the reference's right conjugates and
+        # then its left ones, in order. g Q (right) or Q' g (left) with g
+        # moved back to the other end is a reduced word of the start's
+        # permutation, so the same permutation braid; the oracle's gamma
+        # must agree as well
         checked = 0
         for n in (2, 3, 4, 5):
             for letters in self.reduced_words(n):
                 start = oracle_gamma(BraidWord(n, letters))
-                for conjugate in _descent_conjugates(n, letters, left):
+                sides = [reference_descent_conjugates(n, letters, side) for side in (False, True)]
+                assert list(_descent_conjugates(n, letters)) == sides[0] + sides[1]
+                for conjugate in sides[left]:
                     undone = conjugate[-1:] + conjugate[:-1] if left else conjugate[1:] + conjugate[:1]
-                    assert _square_at_recrossing(n, undone) is None
+                    assert square_at_recrossing(n, undone) is None
                     assert self.permutation(n, undone) == self.permutation(n, letters)
                     assert oracle_gamma(BraidWord(n, conjugate)) == start
                     checked += 1
@@ -442,17 +476,17 @@ class TestRewrites:
 
     @staticmethod
     def least_recrossing_square(n, word):
-        """Every rotation of ``word`` run through _square_at_recrossing: the
+        """Every rotation of ``word`` run through square_at_recrossing: the
         square with the least found[0], first in rotation order; None if no
         rotation has a recrossing."""
-        squares = (_square_at_recrossing(n, word[i:] + word[:i]) for i in range(len(word)))
+        squares = (square_at_recrossing(n, word[i:] + word[:i]) for i in range(len(word)))
         return min((f for f in squares if f is not None), key=lambda f: f[0], default=None)
 
     @classmethod
     def eager_find_square(cls, letters, n):
         """_find_square by brute force, on the word and then on its descent
-        conjugates, right ones first."""
-        conjugates = [c for left in (False, True) for c in _descent_conjugates(n, letters, left)]
+        conjugates, right ones first, each found by walking the word again."""
+        conjugates = [c for left in (False, True) for c in reference_descent_conjugates(n, letters, left)]
         for word in (letters, *conjugates):
             found = cls.least_recrossing_square(n, word)
             if found is not None:
@@ -461,6 +495,8 @@ class TestRewrites:
 
     def test_find_square_returns_the_eager_search_word(self):
         words = [*self.square_search_words(), *((w.strands, w.letters) for w in self.DESCENT_ONLY)]
+        for n in (4, 5):  # on fewer strands no reduced word uses each generator twice
+            words += [(n, w) for w in self.reduced_words(n) if all(w.count(g) >= 2 for g in range(1, n))]
         for n, letters in words:
             letters = bytes(letters)
             assert _find_square(letters, n) == self.eager_find_square(letters, n)
@@ -476,7 +512,7 @@ class TestRewrites:
         """The window search as it was before it returned the square: the
         first i whose rotation has its first recrossing at the least
         generator, or None, so the square was then re-walked from rotation
-        i by _square_at_recrossing."""
+        i by square_at_recrossing."""
         L = len(word)
         doubled = word + word
         pos, at = list(range(n)), list(range(n))
@@ -505,11 +541,11 @@ class TestRewrites:
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=40))))
     def test_window_square_is_the_square_at_the_window_rotation(self, word):
         # the square the window keeps equals the old two steps: the index,
-        # then _square_at_recrossing walking that rotation's prefix again
+        # then square_at_recrossing walking that rotation's prefix again
         n, letters = word
         knot = knot_word(n, letters)
         i = self.reference_least_recrossing_index(n, knot)
-        expected = None if i is None else _square_at_recrossing(n, knot[i:] + knot[:i])
+        expected = None if i is None else square_at_recrossing(n, knot[i:] + knot[:i])
         assert _least_recrossing_rotation(n, knot) == expected
 
 
@@ -551,19 +587,25 @@ class TestWorkIsPinned:
     rotation classes: requesting K1 and K2 before R stores 102 entries for
     8/3, not 104. So the counts pin the three rules of ``_gamma_node`` and
     its request order R, K1, K2. An unknot, k - 1 letters on k strands, is
-    answered where it is requested and never stored; each of these walks
-    meets it on 1, 2 and 3 strands and on no more, so the memo holds all
-    but those three classes."""
+    answered where it is requested and never stored, so the memo holds the
+    classes reached less the unknot classes met: each of these walks meets
+    the unknot on 1, 2 and 3 strands, and 8/5 also meets both classes on 4
+    strands, 1 2 3 and 1 3 2, and no walk meets more. The walks of 2/5 and
+    8/5 reach the descent walk of ``_find_square`` once each, so their
+    counts also pin the order of its conjugates."""
 
     @pytest.mark.parametrize(
         "slope, classes",
-        [((8, 3), 107), ((5, 3), 43), ((3, 4), 137), ((11, 3), 187), ((25, 6), 1745), ((21, 5), 349)],
+        [
+            ((8, 3), 107), ((5, 3), 43), ((3, 4), 137), ((11, 3), 187), ((25, 6), 1745), ((21, 5), 349),
+            ((2, 5), 136), ((8, 5), 1514),
+        ],
     )
     def test_cold_gamma_memo_size(self, slope, classes):
         _, w = choose_params(*slope)
         clear_caches()
         gamma_positive(w)
-        assert len(homfly._gamma_memo) == classes - 3
+        assert len(homfly._gamma_memo) == classes - (5 if slope == (8, 5) else 3)
 
     @pytest.mark.parametrize(
         "w, entries",

@@ -159,6 +159,8 @@ class TestSerialization:
             (SkeinElem.from_rows, [[0, 1, []]], "[0, 1, []]: a row is never empty"),
             (SkeinElem.from_rows, [[0, -1, [[0, 1]]]], "[0, -1, [[0, 1]]]: H and C degrees must be nonnegative"),
             (SkeinElem.from_rows, [[0, 0, [[0, 1], [0, 1]]]], "[0, 1]: exponents must strictly ascend"),
+            (SkeinElem.from_rows, [["x", 0, [[0, 1]]]], "['x', 0, [[0, 1]]]: every field must be an int"),
+            (SkeinElem.from_rows, [[True, 0, [[0, 1]]]], "[True, 0, [[0, 1]]]: every field must be an int"),
         ],
     )
     def test_text_the_writers_never_emit_is_rejected(self, read, value, message):
