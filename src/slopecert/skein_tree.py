@@ -18,11 +18,19 @@ layer kind:
   splitting of a 2-component link into its factors, weighted by linking
   number lk.
 
+Each weight is a power of -a, times a + 1 on a linking edge: -a = (-a)^1,
+and -(1 + a^-1)(-a)^lk = (a + 1)(-a)^(lk-1). So a weight is applied as a
+shift of every coefficient's exponents (``_shift``), with the a + 1 folded
+into the shift, and the only ring products are the linking nodes'
+child1 * child2.
+
 This module builds the trees by rewriting, with one node per distinct
 pattern, and evaluates each node exactly over Z[a^{+-1}][H, C] as it builds
-it. It also gives both polynomials in closed form, and their difference:
-each is four fixed Laurent polynomials, one per (H, C) bucket, shifted by
-powers of -a that depend on (q, r, t). ``expand`` proves that the trees
+it. An expansion's memo is keyed by each pattern's (base, layers) pair, and
+a ``PatternExpr`` is built only for a node that is made. The module also
+gives both polynomials in closed form, and their difference: each is four
+fixed Laurent polynomials, one per (H, C) bucket, shifted by powers of -a
+that depend on (q, r, t). ``expand`` proves that the trees
 equal the closed forms for every (q, r, t).
 """
 
@@ -31,20 +39,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .poly import ALPHA, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
+from .poly import ALPHA, LaurentPoly, ONE_PLUS_ALPHA, SkeinElem
 
 _ALPHA_SQ = LaurentPoly({2: 1})
 _ALPHA_SQ_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 _DIFFERENCE_UNIT = ALPHA * ONE_PLUS_ALPHA * ONE_PLUS_ALPHA * _ALPHA_SQ_MINUS_1  # a(1+a)^2(a^2-1)
 
-# Leaf values by base knot and the skein-edge factor -a, shared by every
-# tree: values are immutable.
+# Leaf values by base knot, shared by every tree: values are immutable.
 _LEAVES = {
     "U": SkeinElem.one(),
     "C": SkeinElem.indeterminate_c(),
     "H": SkeinElem.indeterminate_h(),
 }
-_SKEIN_FACTOR = SkeinElem.scalar(-ALPHA)
 
 
 def _layer_label(layer: Tuple) -> str:
@@ -83,12 +89,17 @@ class PatternExpr:
         return f"[{stack}]" if self.base == "H" else f"{stack}(C(R))"
 
 
-def _pattern(base: str, *layers: Tuple) -> PatternExpr:
-    """The layers, outermost first, on ``base``; a zero-clasp outer double
-    unknots the whole pattern."""
+def _key(base: str, layers: Tuple[Tuple, ...]) -> Tuple[str, Tuple[Tuple, ...]]:
+    """The (base, layers) pair of the layers, outermost first, on ``base``;
+    a zero-clasp outer double unknots the whole pattern."""
     if layers and layers[0][0] == "D" and layers[0][1] == 0:
-        return unknot()
-    return PatternExpr(base, layers)
+        return "U", ()
+    return base, layers
+
+
+def _pattern(base: str, *layers: Tuple) -> PatternExpr:
+    """The pattern ``_key`` names."""
+    return PatternExpr(*_key(base, layers))
 
 
 def unknot() -> PatternExpr:
@@ -145,10 +156,15 @@ def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> Sk
     the product q*r enters (through the linking number of the band knot
     with the cable).
 
+    Each edge's weight is a power of -a, applied as a shift (``_weigh``):
+    -a on a skein edge, and on a linking edge
+    -(1 + a^-1)(-a)^lk = (a + 1)(-a)^(lk-1), with the a + 1 folded into the
+    shift. So the only ring products are the linking nodes' x * y.
+
     Equal patterns get one node, so the tree is a DAG and each distinct
-    pattern is expanded and evaluated once. ``memo`` maps the patterns
-    expanded so far to their nodes; calls with the same q*r that pass one
-    dict share nodes.
+    pattern is expanded and evaluated once. ``memo`` maps the (base,
+    layers) pair of each pattern expanded so far to its node; calls with
+    the same q*r that pass one dict share nodes.
 
     The trees of ``kb_root`` and ``kg_root`` equal ``closed_form_kb`` and
     ``closed_form_kg`` for every (q, r, t), by Kronecker's substitution:
@@ -164,22 +180,27 @@ def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> Sk
     So equality at (1, K, K^2), which ``TestClosedForms`` in
     tests/test_skein_tree.py checks, is equality in the free ring, and then
     at every (q, r, t)."""
-    if memo is None:
-        memo = {}
-    node = memo.get(expr)
+    return _expand(expr.base, expr.layers, q, r, {} if memo is None else memo)
+
+
+def _expand(base: str, layers: Tuple[Tuple, ...], q: int, r: int, memo: dict) -> SkeinTree:
+    """The node of the pattern (base, layers), from ``memo`` or made and
+    stored there."""
+    node = memo.get((base, layers))
     if node is not None:
         return node
-    if not expr.layers:
-        node = SkeinTree(expr, "leaf", _LEAVES[expr.base])
+    expr = PatternExpr(base, layers)  # checks the layers before expanding them
+    if not layers:
+        node = SkeinTree(expr, "leaf", _LEAVES[base])
     else:
-        base, outer, inner = expr.base, expr.layers[0], expr.layers[1:]
+        outer, inner = layers[0], layers[1:]
         if outer[0] == "D":
             # D^k_m o X: change a clasp crossing (D^{k-1}_m o X) or smooth
             # it (Cbar_{2m,2} o X), on the same base
             _, k, m = outer
-            left = expand(_pattern(base, ("D", k - 1, m), *inner), q, r, memo)
-            right = expand(_pattern(base, ("Cbar", m), *inner), q, r, memo)
-            value = _SKEIN_FACTOR * (left.value + right.value)
+            left = _expand(*_key(base, (("D", k - 1, m),) + inner), q, r, memo)
+            right = _expand(base, (("Cbar", m),) + inner, q, r, memo)
+            value = _weigh(left.value + right.value, 1)
             node = SkeinTree(expr, "skein", value, (left, right))
         else:
             # Cbar_{2m,2} o X splits into X on the base and X on the cable;
@@ -187,10 +208,10 @@ def expand(expr: PatternExpr, q: int, r: int, memo: Optional[dict] = None) -> Sk
             # winding number 0
             m = outer[1]
             lk = q * r - m if base == "H" and not inner else -m
-            x, y = expand(_pattern(base, *inner), q, r, memo), expand(_pattern("C", *inner), q, r, memo)
-            value = SkeinElem.scalar(-(ONE_PLUS_INV_ALPHA * neg_alpha_pow(lk))) * x.value * y.value
+            x, y = _expand(*_key(base, inner), q, r, memo), _expand(*_key("C", inner), q, r, memo)
+            value = _weigh(x.value * y.value, lk - 1, fold=True)
             node = SkeinTree(expr, "linking", value, (x, y), lk=lk)
-    memo[expr] = node
+    memo[base, layers] = node
     return node
 
 
@@ -217,10 +238,27 @@ def _template(c0, c1, u, v) -> dict:
     return {(0, 0): c0 + c1 * u * u, (1, 1): -(c1 * u * v), (0, 2): -(c1 * u * v), (1, 3): c1 * v * v}
 
 
-def _shift(poly: LaurentPoly, k: int) -> LaurentPoly:
-    """(-a)^k poly: every exponent moved by k, every sign flipped if k is odd."""
+def _shift(poly: LaurentPoly, k: int, fold: bool = False) -> LaurentPoly:
+    """(-a)^k poly: every exponent moved by k, every sign flipped if k is
+    odd. With ``fold``, (a + 1)(-a)^k poly, in the same pass: each shifted
+    term is also added one exponent up, and a sum that cancels is dropped."""
     sign = -1 if k % 2 else 1
-    return LaurentPoly._wrap({e + k: sign * c for e, c in poly.items()})
+    if not fold:
+        return LaurentPoly._wrap({e + k: sign * c for e, c in poly._terms.items()})
+    out = {}
+    for e, c in poly._terms.items():
+        e += k
+        c *= sign
+        out[e] = out.get(e, 0) + c
+        out[e + 1] = out.get(e + 1, 0) + c
+    return LaurentPoly._wrap({e: c for e, c in out.items() if c})
+
+
+def _weigh(x: SkeinElem, k: int, fold: bool = False) -> SkeinElem:
+    """(-a)^k x, or (a + 1)(-a)^k x with ``fold``: ``_shift`` on each (H, C)
+    bucket. A nonzero bucket stays nonzero, as Z[a^{+-1}] has no zero
+    divisors."""
+    return SkeinElem._wrap({key: _shift(poly, k, fold) for key, poly in x._terms.items()})
 
 
 def _instance(template: dict, q: int, r: int, t: int) -> SkeinElem:

@@ -121,6 +121,33 @@ class TestCertifySlope:
         with pytest.raises(CertificateError, match="^cable polynomial is a unit; cannot certify$"):
             certify_slope(2, 1)
 
+    def test_a_closure_that_is_not_a_knot_raises(self, monkeypatch):
+        monkeypatch.setattr(slopecert.certify, "closure_components", lambda w: 2)
+        with pytest.raises(CertificateError, match="^cable closure is not a knot$"):
+            certify_slope(2, 1)
+
+    def test_a_gamma_off_one_at_minus_one_raises(self, monkeypatch):
+        # 2a + a^2 is not a unit, and is -1 at a = -1
+        gamma = slopecert.homfly.GammaResult(LaurentPoly({1: 2, 2: 1}), LaurentPoly({0: 2, 1: 1}))
+        monkeypatch.setattr(slopecert.certify, "gamma_positive", lambda w: gamma)
+        with pytest.raises(CertificateError, match=r"^knot normalization Gamma\(-1\) = 1 fails$"):
+            certify_slope(2, 1)
+
+    def test_a_negative_normalized_coefficient_raises(self, monkeypatch):
+        # the trefoil's gamma, which passes the two checks before, with a
+        # normalized form that has a negative coefficient
+        gamma = slopecert.homfly.GammaResult(LaurentPoly({1: -2, 2: -1}), LaurentPoly({0: 2, 1: -1}))
+        monkeypatch.setattr(slopecert.certify, "gamma_positive", lambda w: gamma)
+        with pytest.raises(CertificateError, match="^normalized polynomial has a negative coefficient$"):
+            certify_slope(2, 1)
+
+    def test_an_oracle_disagreement_raises(self, monkeypatch):
+        # the oracle is consulted only with verify_oracle
+        monkeypatch.setattr(slopecert.certify, "zeroth_gamma", lambda poly: LaurentPoly({1: -3, 2: -2}))
+        assert certify_slope(2, 1).gamma_cr == LaurentPoly({1: -2, 2: -1})
+        with pytest.raises(CertificateError, match="^fast engine disagrees with the skein oracle$"):
+            certify_slope(2, 1, verify_oracle=True)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="other constructions"):
             certify_slope(1, 5)
@@ -201,9 +228,11 @@ class TestCertifySlope:
 
 class TestRingWorkIsPinned:
     """Both skein trees of a slope are one DAG with one value per distinct
-    pattern, so a certificate takes a fixed number of SkeinElem products:
-    15, where evaluating each tree on its own, node by node, takes 33.
-    ``difference`` shifts a fixed template and multiplies nothing."""
+    pattern, and each edge's weight is a shift by a power of -a: the 7
+    skein weights -a and the 4 linking weights (a + 1)(-a)^(lk-1) multiply
+    nothing. So a certificate takes a fixed number of SkeinElem products:
+    4, the linking nodes' x * y. ``difference`` shifts a fixed template
+    and multiplies nothing."""
 
     def test_skein_products_of_one_certificate(self, monkeypatch):
         products = []
@@ -216,7 +245,7 @@ class TestRingWorkIsPinned:
         monkeypatch.setattr(SkeinElem, "__mul__", counted)
         monkeypatch.setattr(SkeinElem, "__rmul__", counted)
         certify_slope(3, 2)
-        assert len(products) == 15
+        assert len(products) == 4
 
 
 json_values = st.recursive(

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slopecert.poly import ALPHA, LaurentPoly, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
+from slopecert.poly import ALPHA, LaurentPoly, ONE_PLUS_ALPHA, ONE_PLUS_INV_ALPHA, SkeinElem, neg_alpha_pow
 from slopecert.skein_tree import (
     PatternExpr,
+    _weigh,
     banded_double,
     banded_iterated_double,
     banded_two_cable,
@@ -252,9 +253,9 @@ class TestSharing:
         nodes = {}
         for expr in (kb_root(q, t), kg_root(q, t), *drawn):
             expand(expr, q, r, nodes)
-        for expr, node in nodes.items():
-            assert node.expr == expr
-            assert node.value == reference_value(expr, q, r)
+        for (base, layers), node in nodes.items():
+            assert node.expr == PatternExpr(base, layers)
+            assert node.value == reference_value(node.expr, q, r)
 
     @pytest.mark.parametrize("slope", [(3, 2), (7, 2), (101, 2), (37, 11)])
     def test_one_slope_evaluates_half_its_nodes(self, slope):
@@ -272,6 +273,29 @@ class TestSharing:
         tree = expand(kb_root(Q, T), Q, R)
         inner = tree.children[1].children[0]  # [D^2_{42}]
         assert inner.children[0].children[1] is inner.children[1]  # [Cbar_{84,2}]
+
+
+laurent_polys = st.dictionaries(st.integers(-40, 40), st.integers(-9, 9), max_size=6).map(LaurentPoly)
+skein_elems = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), laurent_polys, max_size=4).map(SkeinElem)
+
+
+class TestWeights:
+    """``expand`` weighs each edge by shifting exponents, not by a ring
+    product: these pin the shift to the product it replaces."""
+
+    @PROFILE
+    @given(skein_elems, st.integers(-10**6, 10**6))
+    @example(SkeinElem.zero(), 0)
+    @example(SkeinElem.zero(), -7)
+    @example(SkeinElem.scalar(LaurentPoly({0: 1, 1: -1})), 3)  # (a+1)(1-a) = 1-a^2 cancels a term
+    @example(H * C + SkeinElem.scalar(LaurentPoly({-2: 5, 4: -3})), -1)
+    def test_shift_is_the_product_by_a_power_of_minus_a(self, x, k):
+        assert _weigh(x, k) == SkeinElem.scalar(neg_alpha_pow(k)) * x
+        assert _weigh(x, k, fold=True) == SkeinElem.scalar(ONE_PLUS_ALPHA * neg_alpha_pow(k)) * x
+
+    def test_linking_weight_is_a_shifted_one_plus_a(self):
+        for lk in range(-50, 51):
+            assert -(ONE_PLUS_INV_ALPHA * neg_alpha_pow(lk)) == ONE_PLUS_ALPHA * neg_alpha_pow(lk - 1)
 
 
 class TestEvaluation:

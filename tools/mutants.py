@@ -29,6 +29,9 @@ REWRITES = "tests/test_homfly.py::TestRewrites::"
 DESCENT = REWRITES + "test_descent_conjugates_are_conjugates"
 MEMO_SIZE = "tests/test_homfly.py::TestWorkIsPinned::test_cold_gamma_memo_size"
 SMALL_WORDS = "tests/test_homfly.py::TestGammaPositive::test_exhaustive_small_words"
+LINKING = "tests/test_skein_tree.py::TestExpansion::test_two_cable_linking_number"
+SHARED_DAG = "tests/test_skein_tree.py::TestSharing::test_shared_dag_equals_unshared_reference"
+CHECKS = "tests/test_certify.py::TestCertifySlope::"
 
 MUTANTS = [
     # the three rules of the fast engine's _gamma_node
@@ -42,12 +45,22 @@ MUTANTS = [
     ("homfly.py", "    arr[g - 1], arr[g] = arr[g], arr[g - 1]\n", "", [DESCENT, REWRITES + "test_window_search_matches_every_rotation"]),
     ("homfly.py", "walk.append(conjugate)", "pass", [REWRITES + "test_find_square_through_a_right_descent"]),
     # the skein trees, the closed-form templates and the dual gluing
-    ("skein_tree.py", "q * r - m", "q * r + m", ["tests/test_skein_tree.py::TestExpansion::test_two_cable_linking_number"]),
+    ("skein_tree.py", "q * r - m", "q * r + m", [LINKING]),
+    # each edge's weight, applied as a shift by a power of -a
+    ("skein_tree.py", "lk - 1", "lk", [LINKING, SHARED_DAG]),
+    ("skein_tree.py", "left.value + right.value, 1)", "left.value + right.value, -1)", [LINKING, SHARED_DAG]),
+    ("skein_tree.py", ", fold=True)", ")", [LINKING, SHARED_DAG]),
+    # no weight of a production slope cancels a term, so only the shift's own test sees a zero kept
+    ("skein_tree.py", "for e, c in out.items() if c}", "for e, c in out.items()}", ["tests/test_skein_tree.py::TestWeights::test_shift_is_the_product_by_a_power_of_minus_a"]),
     # production slopes shift by even powers only, so the free (q, r, t) tests kill this one
     ("skein_tree.py", "sign = -1 if k % 2 else 1", "sign = 1", ["tests/test_skein_tree.py::TestClosedForms::test_identities_hold_for_every_tuple"]),
     ("skein_tree.py", "_KB = _template(-ALPHA,", "_KB = _template(ALPHA,", ["tests/test_skein_tree.py::TestClosedForms::test_tree_equals_closed_form_for_production_params"]),
-    # a per-slope check of certify_slope
-    ("certify.py", "_check(not gamma_cr.is_unit(),", "_check(True or not gamma_cr.is_unit(),", ["tests/test_certify.py::TestCertifySlope::test_a_failed_check_raises"]),
+    # the per-slope checks of certify_slope
+    ("certify.py", "_check(closure_components(w) == 1,", "_check(True or closure_components(w) == 1,", [CHECKS + "test_a_closure_that_is_not_a_knot_raises"]),
+    ("certify.py", "_check(not gamma_cr.is_unit(),", "_check(True or not gamma_cr.is_unit(),", [CHECKS + "test_a_failed_check_raises"]),
+    ("certify.py", "_check(gamma_cr.evaluate(-1) == 1,", "_check(True or gamma_cr.evaluate(-1) == 1,", [CHECKS + "test_a_gamma_off_one_at_minus_one_raises"]),
+    ("certify.py", "all(c >= 0 for c in", "True or all(c >= 0 for c in", [CHECKS + "test_a_negative_normalized_coefficient_raises"]),
+    ("certify.py", "zeroth_gamma(homfly_oracle(w)) == gamma_cr,", "True or zeroth_gamma(homfly_oracle(w)) == gamma_cr,", [CHECKS + "test_an_oracle_disagreement_raises"]),
     ("surgery.py", "GluingMatrix(s * (1 - q * r), q * r * r, -q, p)", "GluingMatrix(p, q * r * r, -q, s * (1 - q * r))", ["tests/test_surgery.py::TestDualGluing::test_matches_correction_times_inverse"]),
 ]
 
